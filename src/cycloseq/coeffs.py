@@ -8,8 +8,9 @@ boxes, index g), with multiplicity over the source compositions.
 
 Two conventions coexist for the corner c(i, i, 0).  The tabulated matrices
 define it as i (each single-column tableau is charged once per cell), while
-the occurrence formulas need the plain remainder count 1.  `c_coeff` takes a
-`tableau` flag; everything that feeds sequence counting uses tableau mode.
+the occurrence formulas need the plain remainder count 1.  `c_coeff` gives
+the matrix convention and `c_tableau` the tableau one; everything that feeds
+sequence counting uses `c_tableau`.
 """
 
 from __future__ import annotations
@@ -28,17 +29,14 @@ def c_tableau(i: int, j: int, k: int) -> int:
     return binomial(j, k) * demoivre(k, i - j) if i >= j else 0
 
 
-def c_coeff(i: int, j: int, k: int, *, tableau: bool = False) -> int:
-    """One-column-deletion coefficient, matrix convention by default.
+def c_coeff(i: int, j: int, k: int) -> int:
+    """One-column-deletion coefficient in the matrix convention.
 
-    Matrix convention: (k/(i-j)) C(j,k) C(i-j,k) for j < i and i*delta(0,k)
-    on the diagonal.  With tableau=True the diagonal corner counts the single
-    empty remainder once instead.
+    (k/(i-j)) C(j,k) C(i-j,k) for j < i and i*delta(0,k) on the diagonal;
+    c_tableau counts the single empty remainder of the corner once instead.
     """
     if i < 1 or j < 0 or k < 0:
         raise ValueError(f"need i >= 1, j >= 0, k >= 0, got ({i}, {j}, {k})")
-    if tableau:
-        return c_tableau(i, j, k)
     if i == j:
         return i if k == 0 else 0
     if k == 0 or j > i:

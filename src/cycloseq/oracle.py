@@ -11,8 +11,9 @@ bounded; CYCLOSEQ_ORACLE_CAP overrides it.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from math import comb
-from typing import Iterable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 from .errors import CapExceeded, ConstantSequence, UnsupportedPattern
 from .patterncounts import parse_pattern
@@ -63,12 +64,8 @@ def sequences(m: int, n: int) -> Iterator[int]:
     yield from sequences_slice(m, n, 0, comb(m + n, n))
 
 
-def cyclic_occurrences(word: int, N: int, pattern: str) -> int:
-    """Number of the N cyclic windows of the word spelling the pattern.
-
-    Windows may use every digit of the cycle once, so patterns up to length
-    N are meaningful here (the closed forms stop one digit earlier).
-    """
+def _occurrence_counter(N: int, pattern: str) -> Callable[[int], int]:
+    """cyclic_occurrences(word, N, pattern) as a function of the word alone."""
     pattern = parse_pattern(pattern)
     L = len(pattern)
     if L > N:
@@ -76,9 +73,22 @@ def cyclic_occurrences(word: int, N: int, pattern: str) -> int:
             f"pattern length {L} exceeds the cycle length {N}"
         )
     target = sum(1 << j for j, ch in enumerate(pattern) if ch == "1")
-    doubled = word | (word << N)
     mask = (1 << L) - 1
-    return sum(1 for i in range(N) if (doubled >> i) & mask == target)
+
+    def occurrences(word: int) -> int:
+        doubled = word | (word << N)
+        return sum(1 for i in range(N) if (doubled >> i) & mask == target)
+
+    return occurrences
+
+
+def cyclic_occurrences(word: int, N: int, pattern: str) -> int:
+    """Number of the N cyclic windows of the word spelling the pattern.
+
+    Windows may use every digit of the cycle once, so patterns up to length
+    N are meaningful here (the closed forms stop one digit earlier).
+    """
+    return _occurrence_counter(N, pattern)(word)
 
 
 def jump_count(word: int, N: int) -> int:
@@ -115,31 +125,24 @@ def type_signature(word: int, N: int) -> SequenceType:
     return SequenceType(zero_blocks, one_blocks)
 
 
+def tally(words: Iterable[int], key: Callable[[int], Hashable]) -> dict:
+    """Number of words per key value, in ascending key order."""
+    return dict(sorted(Counter(map(key, words)).items()))
+
+
 def jump_distribution(m: int, n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for word in sequences(m, n):
-        tau = jump_count(word, m + n)
-        out[tau] = out.get(tau, 0) + 1
-    return dict(sorted(out.items()))
+    return tally(sequences(m, n), lambda word: jump_count(word, m + n))
 
 
 def pattern_distribution(m: int, n: int, pattern: str) -> dict[int, int]:
-    out: dict[int, int] = {}
-    N = m + n
-    for word in sequences(m, n):
-        h = cyclic_occurrences(word, N, pattern)
-        out[h] = out.get(h, 0) + 1
-    return dict(sorted(out.items()))
+    _check_cap(m + n)  # an over-cap family is refused before its pattern is read
+    return tally(sequences(m, n), _occurrence_counter(m + n, pattern))
 
 
 def joint_distribution(m: int, n: int, patterns: Iterable[str]) -> dict[tuple[int, ...], int]:
-    pats = tuple(parse_pattern(p) for p in patterns)
-    out: dict[tuple[int, ...], int] = {}
-    N = m + n
-    for word in sequences(m, n):
-        key = tuple(cyclic_occurrences(word, N, p) for p in pats)
-        out[key] = out.get(key, 0) + 1
-    return dict(sorted(out.items()))
+    _check_cap(m + n)
+    counters = [_occurrence_counter(m + n, p) for p in patterns]
+    return tally(sequences(m, n), lambda word: tuple(count(word) for count in counters))
 
 
 def pattern_census(m: int, n: int, max_len: int = 4) -> dict[str, dict[int, int]]:
@@ -177,26 +180,14 @@ def pattern_census(m: int, n: int, max_len: int = 4) -> dict[str, dict[int, int]
 
 
 def type_census(m: int, n: int) -> dict[SequenceType, int]:
-    out: dict[SequenceType, int] = {}
-    for word in sequences(m, n):
-        t = type_signature(word, m + n)
-        out[t] = out.get(t, 0) + 1
-    return out
+    return tally(sequences(m, n), lambda word: type_signature(word, m + n))
 
 
 def allwords_pattern_distribution(N: int, pattern: str) -> dict[int, int]:
     _check_cap(N)
-    out: dict[int, int] = {}
-    for word in range(1 << N):
-        h = cyclic_occurrences(word, N, pattern)
-        out[h] = out.get(h, 0) + 1
-    return dict(sorted(out.items()))
+    return tally(range(1 << N), _occurrence_counter(N, pattern))
 
 
 def allwords_jump_distribution(N: int) -> dict[int, int]:
     _check_cap(N)
-    out: dict[int, int] = {}
-    for word in range(1 << N):
-        tau = jump_count(word, N)
-        out[tau] = out.get(tau, 0) + 1
-    return dict(sorted(out.items()))
+    return tally(range(1 << N), lambda word: jump_count(word, N))

@@ -2,11 +2,12 @@
 
 A pattern U of length L occurs at position i of a sequence when the L
 cyclically consecutive digits starting there spell U; every sequence exposes
-exactly N windows, wraparound included.  Closed forms are shipped for the
-solved families: single digits, all length-2 and length-3 strings, runs of a
-single digit, and a run of zeros followed by a one (plus the digit-swap and
-reversal images of these).  Everything else raises UnsupportedPattern and is
-left to the brute-force oracle.
+exactly N windows, wraparound included.  Closed forms are shipped for four
+shapes: a single digit, a run 0^r, a run of zeros closed by a one (0^r 1 and
+its reversal 1 0^r, r >= 1), and 101.  The digit swap of a solved shape is
+solved too, by swapping the roles of m and n.  Together they cover every
+pattern of length at most three.  Everything else raises UnsupportedPattern
+and is left to the brute-force oracle.
 """
 
 from __future__ import annotations
@@ -49,19 +50,34 @@ def flip(pattern: str) -> str:
     return pattern.translate(str.maketrans("01", "10"))
 
 
+def _shape_count(pattern: str):
+    """Count function (m, n, h) of a solved shape as written, or None."""
+    r = len(pattern) - 1
+    if pattern == "0":
+        return lambda m, n, h: binomial(m + n, m) if h == m else 0
+    if pattern == "0" * (r + 1):
+        return lambda m, n, h: _count_zero_run(m, n, r + 1, h)
+    if r >= 1 and pattern in ("0" * r + "1", "1" + "0" * r):
+        return lambda m, n, h: _count_zeros_then_one(m, n, r, h)
+    if pattern == "101":
+        return _count_101
+    return None
+
+
+def _solved_count(pattern: str):
+    """Count function (m, n, h) of a solved pattern or of its digit swap, or None."""
+    count = _shape_count(pattern)
+    if count is not None:
+        return count
+    swapped = _shape_count(flip(pattern))
+    if swapped is not None:
+        return lambda m, n, h: swapped(n, m, h)
+    return None
+
+
 def is_solved_pattern(pattern: str) -> bool:
     """True when a closed form is shipped for the pattern."""
-    pattern = parse_pattern(pattern)
-    if len(pattern) <= 3:
-        return True
-    zeros, ones = pattern.count("0"), pattern.count("1")
-    if zeros == 0 or ones == 0:
-        return True  # a run of one digit
-    if ones == 1:
-        return pattern in ("0" * zeros + "1", "1" + "0" * zeros)
-    if zeros == 1:
-        return pattern in ("1" * ones + "0", "0" + "1" * ones)
-    return False
+    return _solved_count(parse_pattern(pattern)) is not None
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -121,28 +137,12 @@ def count_pattern(m: int, n: int, pattern: str, h: int) -> int:
         )
     if h < 0:
         return 0
-    if pattern == "0":
-        return binomial(N, m) if h == m else 0
-    if pattern == "1":
-        return binomial(N, m) if h == n else 0
-    if pattern in ("01", "10"):
-        return _count_zeros_then_one(m, n, 1, h)
-    zeros, ones = pattern.count("0"), pattern.count("1")
-    if ones == 0:
-        return _count_zero_run(m, n, zeros, h)
-    if zeros == 0:
-        return _count_zero_run(n, m, ones, h)
-    if pattern in ("0" * zeros + "1", "1" + "0" * zeros) and ones == 1:
-        return _count_zeros_then_one(m, n, zeros, h)
-    if pattern in ("1" * ones + "0", "0" + "1" * ones) and zeros == 1:
-        return _count_zeros_then_one(n, m, ones, h)
-    if pattern == "101":
-        return _count_101(m, n, h)
-    if pattern == "010":
-        return _count_101(n, m, h)
-    raise UnsupportedPattern(
-        f"no closed form for pattern {pattern!r}; use the oracle for it"
-    )
+    count = _solved_count(pattern)
+    if count is None:
+        raise UnsupportedPattern(
+            f"no closed form for pattern {pattern!r}; use the oracle for it"
+        )
+    return count(m, n, h)
 
 
 def pattern_distribution(m: int, n: int, pattern: str) -> CountDistribution:

@@ -32,7 +32,7 @@ class CountDistribution:
         return self.entries.get(index, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class SequenceType:
     """Descending block-length partitions of the zero runs and the one runs."""
 

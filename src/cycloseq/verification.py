@@ -5,29 +5,35 @@ enumeration up to a size bound.  `typo_ledger` evaluates each cataloged
 inconsistency in the published tables and formulas: for every item it states
 the published reading, the corrected reading, and the verdict of an
 independent check (enumeration for counts; for the approximation rows and
-moment pairs, the live formulas against the slip catalogs).
+moment pairs, the live formulas against the slip catalogs and the frozen
+computed values).
 """
 
 from __future__ import annotations
 
+from itertools import product
 from math import comb
+from typing import Iterable
 
 from . import analytics, coeffs, oracle, patterncounts, tnumbers
 from .reference_tables import (
     ASYMPTOTIC_ROW_BAD_CELLS,
+    ASYMPTOTIC_ROW_COMPUTED,
     ASYMPTOTIC_ROW_PUBLISHED,
     BINOMIAL_ROW_BAD_CELLS,
+    BINOMIAL_ROW_COMPUTED,
     BINOMIAL_ROW_PUBLISHED,
     MOMENT_PAIRS_BAD_CELLS,
+    MOMENT_PAIRS_COMPUTED,
     MOMENT_PAIRS_PUBLISHED,
     PRINT_DEFECTS,
 )
 
 SOLVED_UP_TO_4 = [
-    "0", "1",
-    "00", "01", "10", "11",
-    "000", "001", "010", "011", "100", "101", "110", "111",
-    "0000", "0001", "1000", "0111", "1110", "1111",
+    pattern
+    for L in range(1, 5)
+    for pattern in map("".join, product("01", repeat=L))
+    if patterncounts.is_solved_pattern(pattern)
 ]
 
 
@@ -35,95 +41,82 @@ def _solved_patterns(N: int) -> list[str]:
     return [p for p in SOLVED_UP_TO_4 if len(p) < N]
 
 
+def _families(max_n: int) -> list[tuple[int, int]]:
+    """Every nondegenerate family (m, n) with m + n <= max_n."""
+    return [(m, N - m) for N in range(2, max_n + 1) for m in range(1, N)]
+
+
+def _check(name: str, max_n: int, comparisons: Iterable[tuple[dict, object, object]]) -> dict:
+    """Run (case, closed, oracle) comparisons; each case whose sides differ is a failure."""
+    failures = []
+    cases = 0
+    for case, closed, brute in comparisons:
+        cases += 1
+        if closed != brute:
+            failures.append({**case, "closed": closed, "oracle": brute})
+    return {"name": name, "max_n": max_n, "cases": cases, "failures": failures, "ok": not failures}
+
+
+def _pattern_comparisons(max_n: int):
+    for m, n in _families(max_n):
+        census = oracle.pattern_census(m, n, max_len=4)
+        for pattern in _solved_patterns(m + n):
+            expected = census[pattern]
+            for h in range(0, max(expected) + 2):
+                yield ({"m": m, "n": n, "pattern": pattern, "h": h},
+                       patterncounts.count_pattern(m, n, pattern, h), expected.get(h, 0))
+
+
+def _census(pairs) -> list[tuple]:
+    """A type census as sorted (zero blocks, one blocks, multiplicity) rows, JSON-safe."""
+    return sorted((t.zero_blocks, t.one_blocks, mult) for t, mult in pairs)
+
+
 def run_equivalence_suite(max_n: int = 12) -> list[dict]:
-    """Closed form vs enumeration for every family with N <= max_n."""
-    checks: list[dict] = []
+    """Closed form vs enumeration for every family with N <= max_n.
 
-    failures = []
-    cases = 0
-    for N in range(2, max_n + 1):
-        for m in range(1, N):
-            n = N - m
-            census = oracle.pattern_census(m, n, max_len=4)
-            for pattern in _solved_patterns(N):
-                expected = census[pattern]
-                top = max(expected) if expected else 0
-                for h in range(0, top + 2):
-                    cases += 1
-                    got = patterncounts.count_pattern(m, n, pattern, h)
-                    if got != expected.get(h, 0):
-                        failures.append(
-                            {"m": m, "n": n, "pattern": pattern, "h": h,
-                             "closed": got, "oracle": expected.get(h, 0)}
-                        )
-    checks.append({
-        "name": "pattern closed forms vs enumeration",
-        "max_n": max_n, "cases": cases, "failures": failures, "ok": not failures,
-    })
-
-    failures = []
-    cases = 0
-    for N in range(2, max_n + 1):
-        for m in range(1, N):
-            cases += 1
-            closed = tnumbers.t_distribution(m, N - m).entries
-            brute = oracle.jump_distribution(m, N - m)
-            if closed != brute:
-                failures.append({"m": m, "n": N - m, "closed": closed, "oracle": brute})
-    checks.append({
-        "name": "jump distributions vs enumeration",
-        "max_n": max_n, "cases": cases, "failures": failures, "ok": not failures,
-    })
-
-    failures = []
-    cases = 0
-    for N in range(1, max(max_n, 14) + 1):
-        for tau in range(2, N + 1, 2):
-            cases += 1
-            row_sum = sum(
-                tnumbers.t_number(m, N - m, tau) for m in range(1, N)
-            )
-            if row_sum != 2 * comb(N, tau):
-                failures.append({"N": N, "tau": tau, "sum": row_sum, "expected": 2 * comb(N, tau)})
-    checks.append({
-        "name": "all-words jump totals are 2 C(N, tau)",
-        "max_n": max(max_n, 14), "cases": cases, "failures": failures, "ok": not failures,
-    })
-
-    failures = []
-    cases = 0
-    for N in range(2, min(max_n, 10) + 1):
-        for m in range(1, N):
-            n = N - m
-            cases += 1
-            closed = {
-                (t.zero_blocks, t.one_blocks): mult
-                for t, mult in tnumbers.type_census(m, n)
-            }
-            brute = {
-                (t.zero_blocks, t.one_blocks): mult
-                for t, mult in oracle.type_census(m, n).items()
-            }
-            if closed != brute:
-                failures.append({"m": m, "n": n})
-    checks.append({
-        "name": "type census vs enumeration",
-        "max_n": min(max_n, 10), "cases": cases, "failures": failures, "ok": not failures,
-    })
-
-    return checks
+    The all-words check compares the closed jump counts with 2 C(N, tau), the
+    number of all 2^N words with tau jumps.
+    """
+    totals_n, census_n = max(max_n, 14), min(max_n, 10)
+    return [
+        _check("pattern closed forms vs enumeration", max_n, _pattern_comparisons(max_n)),
+        _check("jump distributions vs enumeration", max_n, (
+            ({"m": m, "n": n}, tnumbers.t_distribution(m, n).entries,
+             oracle.jump_distribution(m, n))
+            for m, n in _families(max_n))),
+        _check("all-words jump totals are 2 C(N, tau)", totals_n, (
+            ({"N": N, "tau": tau}, sum(tnumbers.t_number(m, N - m, tau) for m in range(1, N)),
+             2 * comb(N, tau))
+            for N in range(1, totals_n + 1) for tau in range(2, N + 1, 2))),
+        _check("type census vs enumeration", census_n, (
+            ({"m": m, "n": n}, _census(tnumbers.type_census(m, n)),
+             _census(oracle.type_census(m, n).items()))
+            for m, n in _families(census_n))),
+    ]
 
 
 def _fmt_dist(d: dict[int, int]) -> dict[str, str]:
     return {str(k): str(v) for k, v in sorted(d.items())}
 
 
-def _slip_verdict(published: dict, live: dict, cataloged: tuple) -> str:
-    """Verdict on printed approximations: the cells off by more than 0.01 must be the cataloged slips."""
+def _slip_verdict(
+    published: dict, live: dict, cataloged: tuple, frozen: dict, rel_tol: float
+) -> str:
+    """Verdict on printed approximations.
+
+    The cells off by more than 0.01 must be the cataloged slips, and every live
+    value must equal its frozen computed value within rel_tol (0 means exactly).
+    """
     off = sorted(key for key, value in published.items() if abs(live[key] - value) > 0.01)
-    if off == sorted(cataloged):
-        return f"cells off by more than 0.01: {off}, as cataloged"
-    return f"UNRESOLVED: cells off by more than 0.01 are {off}, cataloged {sorted(cataloged)}"
+    moved = sorted(
+        key for key, value in live.items() if abs(value - frozen[key]) > rel_tol * abs(frozen[key])
+    )
+    if off != sorted(cataloged):
+        return f"UNRESOLVED: cells off by more than 0.01 are {off}, cataloged {sorted(cataloged)}"
+    if moved:
+        return f"UNRESOLVED: cells {moved} moved from their frozen computed values"
+    return f"cells off by more than 0.01: {off}, as cataloged"
 
 
 def typo_ledger(max_n: int = 12) -> list[dict]:
@@ -260,7 +253,8 @@ def typo_ledger(max_n: int = 12) -> list[dict]:
         "published_reading": str(BINOMIAL_ROW_PUBLISHED),
         "corrected_reading": str({tau: round(v, 4) for tau, v in live.items()}),
         "oracle": "exact rational evaluation of the stated probability model",
-        "verdict": _slip_verdict(BINOMIAL_ROW_PUBLISHED, live, BINOMIAL_ROW_BAD_CELLS),
+        "verdict": _slip_verdict(BINOMIAL_ROW_PUBLISHED, live, BINOMIAL_ROW_BAD_CELLS,
+                                 BINOMIAL_ROW_COMPUTED, 1e-12),
     })
 
     live = {tau: analytics.t_asymptotic(5, 5, tau) for tau in ASYMPTOTIC_ROW_PUBLISHED}
@@ -272,7 +266,8 @@ def typo_ledger(max_n: int = 12) -> list[dict]:
         "oracle": "the entries at jump counts 4 and 6, and at 2 and 8, share their "
                   "exponential factor, so they must stand in ratios 2:3 and 1:4; "
                   "neither published pair does",
-        "verdict": _slip_verdict(ASYMPTOTIC_ROW_PUBLISHED, live, ASYMPTOTIC_ROW_BAD_CELLS),
+        "verdict": _slip_verdict(ASYMPTOTIC_ROW_PUBLISHED, live, ASYMPTOTIC_ROW_BAD_CELLS,
+                                 ASYMPTOTIC_ROW_COMPUTED, 1e-12),
     })
 
     printed = {key: approx for key, (_, _, approx) in MOMENT_PAIRS_PUBLISHED.items()}
@@ -286,7 +281,7 @@ def typo_ledger(max_n: int = 12) -> list[dict]:
         "published_reading": str(printed),
         "corrected_reading": "; ".join(f"{key}: {v} = {float(v):.4f}" for key, v in live.items()),
         "oracle": "exact rational evaluation of the expansion",
-        "verdict": _slip_verdict(printed, live, MOMENT_PAIRS_BAD_CELLS),
+        "verdict": _slip_verdict(printed, live, MOMENT_PAIRS_BAD_CELLS, MOMENT_PAIRS_COMPUTED, 0),
     })
 
     return items

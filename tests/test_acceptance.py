@@ -348,3 +348,25 @@ def test_cli_verify_closes_the_ledger(capsys):
         "asymptotic-row-cells",
     ):
         assert required in ids
+
+
+def _verdict(item_id):
+    return {item["id"]: item for item in verification.typo_ledger(max_n=6)}[item_id]["verdict"]
+
+
+def test_ledger_flags_approximation_drift_below_print_precision(monkeypatch):
+    # a formula change far below the printed 0.01 must still leave the ledger
+    # unresolved: live values are held to the frozen *_COMPUTED values
+    assert "UNRESOLVED" not in _verdict("asymptotic-row-cells")
+    assert "UNRESOLVED" not in _verdict("moment-approx-pairs")
+
+    t_asymptotic = analytics.t_asymptotic
+    monkeypatch.setattr(analytics, "t_asymptotic",
+                        lambda m, n, tau: t_asymptotic(m, n, tau) * (1 + 1e-9))
+    assert _verdict("asymptotic-row-cells").startswith("UNRESOLVED")
+    monkeypatch.undo()
+
+    coefficient = analytics._expansion_coefficient
+    monkeypatch.setattr(analytics, "_expansion_coefficient",
+                        lambda m, n, l: coefficient(m, n, l) * (2 if l == 4 else 1))
+    assert _verdict("moment-approx-pairs").startswith("UNRESOLVED")

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cycloseq import patterncounts, tnumbers
 from cycloseq.cli import main
 
 
@@ -212,3 +213,53 @@ def test_verify_small(capsys):
     assert "marginal-001-prefactor" in ids
     code, out, _ = run(capsys, "verify", "--max-N", "6")
     assert code == 0 and "typo ledger:" in out
+
+
+def _bump_count_pattern(real):
+    return lambda m, n, p, h: real(m, n, p, h) + ((m, n, p, h) == (2, 1, "0", 2))
+
+
+def _bump_t_distribution(real):
+    def patched(m, n):
+        dist = real(m, n)
+        if (m, n) == (2, 3):
+            dist.entries[2] += 1
+        return dist
+    return patched
+
+
+def _bump_t_number(real):
+    return lambda m, n, tau: real(m, n, tau) + ((m, n, tau) == (1, 2, 2))
+
+
+def _bump_type_census(real):
+    def patched(m, n):
+        census = real(m, n)
+        if (m, n) == (3, 2):
+            t, mult = census[0]
+            census[0] = (t, mult + 1)
+        return census
+    return patched
+
+
+@pytest.mark.parametrize("module, name, bump, check, case", [
+    (patterncounts, "count_pattern", _bump_count_pattern,
+     "pattern closed forms vs enumeration", {"m": 2, "n": 1, "pattern": "0", "h": 2}),
+    (tnumbers, "t_distribution", _bump_t_distribution,
+     "jump distributions vs enumeration", {"m": 2, "n": 3}),
+    (tnumbers, "t_number", _bump_t_number,
+     "all-words jump totals are 2 C(N, tau)", {"N": 3, "tau": 2}),
+    (tnumbers, "type_census", _bump_type_census,
+     "type census vs enumeration", {"m": 3, "n": 2}),
+])
+def test_verify_reports_a_wrong_closed_form(capsys, monkeypatch, module, name, bump, check, case):
+    # a closed form off by one on a single case must fail verify with a
+    # JSON report that lists exactly that case under its check
+    monkeypatch.setattr(module, name, bump(getattr(module, name)))
+    code, out, err = run(capsys, "verify", "--max-N", "6", "--format", "json")
+    assert code == 1, err
+    report = json.loads(out)["payload"]
+    assert report["all_equivalent"] is False
+    failed = {c["name"]: c for c in report["checks"]}[check]
+    assert not failed["ok"]
+    assert [{k: f[k] for k in case} for f in failed["failures"]] == [case]

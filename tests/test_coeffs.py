@@ -30,9 +30,9 @@ def test_diagonal_conventions():
     # matrix convention charges the single-column tableau once per cell,
     # tableau convention counts its empty remainder once
     assert c_coeff(7, 7, 0) == 7
-    assert c_coeff(7, 7, 0, tableau=True) == 1
+    assert c_tableau(7, 7, 0) == 1
     assert c_coeff(7, 7, 2) == 0
-    assert c_coeff(7, 7, 2, tableau=True) == 0
+    assert c_tableau(7, 7, 2) == 0
 
 
 def test_recurrence_examples():
@@ -52,7 +52,7 @@ def test_recurrence_equals_closed_form(i):
 def test_row_sum_law(i):
     # total remainders equal the composition count of the source shape
     for j in range(1, i + 1):
-        total = sum(c_coeff(i, j, k, tableau=True) for k in range(i + 1))
+        total = sum(c_tableau(i, j, k) for k in range(i + 1))
         assert total == demoivre(j, i)
 
 

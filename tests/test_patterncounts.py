@@ -109,6 +109,32 @@ def test_unsupported_patterns():
     assert all(is_solved_pattern(p) for p in SOLVED)
 
 
+def _solved_at_length(L):
+    if L <= 3:
+        return {"".join(d) for d in itertools.product("01", repeat=L)}
+    return {"0" * L, "1" * L, "0" * (L - 1) + "1", "1" + "0" * (L - 1),
+            "1" * (L - 1) + "0", "0" + "1" * (L - 1)}
+
+
+@pytest.mark.parametrize("L", range(1, 9))
+def test_solved_set_by_length(L):
+    # every pattern of length <= 3; beyond that the two runs, 0^(L-1)1 and
+    # 10^(L-1), and their digit swaps
+    solved = _solved_at_length(L)
+    assert len(solved) == (2**L if L <= 3 else 6)
+    m, n = 6, 4  # N = 10 > L, and m != n so a lost digit swap shows
+    for digits in itertools.product("01", repeat=L):
+        pattern = "".join(digits)
+        assert is_solved_pattern(pattern) == (pattern in solved), pattern
+        if pattern in solved:
+            closed = pattern_distribution(m, n, pattern).entries
+            brute = oracle.pattern_distribution(m, n, pattern)
+            assert {h: v for h, v in closed.items() if v} == brute, pattern
+        else:
+            with pytest.raises(UnsupportedPattern):
+                count_pattern(m, n, pattern, 1)
+
+
 def test_pattern_longer_than_cycle():
     with pytest.raises(UnsupportedPattern):
         count_pattern(1, 1, "101", 0)
