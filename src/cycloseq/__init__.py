@@ -5,6 +5,7 @@ from .errors import (
     ConstantSequence,
     DegenerateFamily,
     DomainError,
+    InexactDivision,
     InvalidDisplacement,
     InvalidTau,
     UnsupportedPattern,
@@ -24,7 +25,6 @@ from .coeffs import (
     c_coeff,
     c_coeff_by_recurrence,
     c_general,
-    c_prime,
     c_weight,
     pascal_identity_check,
 )

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .errors import DegenerateFamily, InvalidTau
-from .exactmath import binomial, falling_factorial, stirling2
+from .exactmath import binomial, exact_div, falling_factorial, stirling2
 
 
 def moment_sum(m: int, n: int, r: int) -> int:
@@ -40,10 +40,7 @@ def moment_exact(m: int, n: int, r: int) -> int:
     if r == 2:
         return m * n * binomial(N - 2, m - 1) if min(m, n) >= 1 else 0
     if r == 3 and m == n:
-        num = m**3 * (m + 1) * binomial(2 * m, m)
-        q, rem = divmod(num, 4 * (2 * m - 1))
-        assert rem == 0, "odd-order closed form must be integral"
-        return q
+        return exact_div(m**3 * (m + 1) * binomial(2 * m, m), 4 * (2 * m - 1))
     return moment_sum(m, n, r)
 
 

@@ -206,7 +206,7 @@ def _coeff_value(kind: str, s: int, i: int, j: int, k: int) -> int:
     if kind == "c":
         return coeffs.c_coeff(i, j, k)
     if kind == "cprime":
-        return coeffs.c_prime(i, j, k)
+        return coeffs.c_general(1, i, j, k)
     if kind == "cs":
         return coeffs.c_general(s, i, j, k)
     return coeffs.c_weight(s, i, k, j)  # cweight: j is the height, k the weight

@@ -8,14 +8,15 @@ boxes, index g), with multiplicity over the source compositions.
 
 Two conventions coexist for the corner c(i, i, 0).  The tabulated matrices
 define it as i (each single-column tableau is charged once per cell), while
-the occurrence formulas need the plain remainder count 1.  `c_coeff` gives
-the matrix convention and `c_tableau` the tableau one; everything that feeds
-sequence counting uses `c_tableau`.
+the occurrence formulas need the plain remainder count 1.  `c_tableau` counts
+remainders, and everything that feeds sequence counting uses it; `c_coeff` is
+`c_tableau` with the matrix-convention corner.  Deeper deletions are
+`c_general`; the two-deletion coefficient C' is `c_general` at s = 1.
 """
 
 from __future__ import annotations
 
-from .exactmath import binomial, compositions, demoivre
+from .exactmath import binomial, compositions, demoivre, exact_div
 
 
 def c_tableau(i: int, j: int, k: int) -> int:
@@ -32,19 +33,13 @@ def c_tableau(i: int, j: int, k: int) -> int:
 def c_coeff(i: int, j: int, k: int) -> int:
     """One-column-deletion coefficient in the matrix convention.
 
-    (k/(i-j)) C(j,k) C(i-j,k) for j < i and i*delta(0,k) on the diagonal;
-    c_tableau counts the single empty remainder of the corner once instead.
+    (k/(i-j)) C(j,k) C(i-j,k) for j < i and i*delta(0,k) on the diagonal:
+    c_tableau everywhere but the corner c(i, i, 0), where c_tableau counts
+    the single empty remainder once and the matrices charge it i times.
     """
     if i < 1 or j < 0 or k < 0:
         raise ValueError(f"need i >= 1, j >= 0, k >= 0, got ({i}, {j}, {k})")
-    if i == j:
-        return i if k == 0 else 0
-    if k == 0 or j > i:
-        return 0
-    num = k * binomial(j, k) * binomial(i - j, k)
-    q, r = divmod(num, i - j)
-    assert r == 0, "coefficient must be integral"
-    return q
+    return i if i == j and k == 0 else c_tableau(i, j, k)
 
 
 def c_coeff_by_recurrence(i: int, j: int, k: int) -> int:
@@ -63,36 +58,19 @@ def c_coeff_by_recurrence(i: int, j: int, k: int) -> int:
     value = j  # k = 1
     kk = 1
     while kk < k:
-        num = value * (j - kk) * (i - j - kk)
-        q, r = divmod(num, kk * (kk + 1))
-        assert r == 0, "recurrence step must divide exactly"
-        value = q
+        value = exact_div(value * (j - kk) * (i - j - kk), kk * (kk + 1))
         kk += 1
     return value
-
-
-def c_prime(i: int, j: int, k: int) -> int:
-    """Two-column-deletion coefficient: dimension-k remainders.
-
-    Sums C(j, f) C(f, k) M(k, i - j - f) over the intermediate dimension f.
-    The k = 0 value C(j, i - j) (for i <= 2j) falls out of the M(0, 0) = 1
-    convention; both corner conventions agree here.
-    """
-    if i < 1 or j < 0 or k < 0:
-        raise ValueError(f"need i >= 1, j >= 0, k >= 0, got ({i}, {j}, {k})")
-    return sum(
-        binomial(j, f) * binomial(f, k) * demoivre(k, i - j - f)
-        for f in range(k, j + 1)
-        if i - j - f >= 0
-    )
 
 
 def c_general(s: int, i: int, j: int, k: int) -> int:
     """Dimension-k remainders after deleting s+1 columns (tableau counting).
 
     Enumerates the descending chains j >= f1 >= ... >= fs >= k of intermediate
-    dimensions explicitly; for s = 0 and s = 1 this reduces to c_tableau and
-    c_prime.
+    dimensions explicitly.  s = 0 is c_tableau; s = 1 is the two-deletion
+    coefficient C', the sum of C(j, f) C(f, k) M(k, i - j - f) over the
+    intermediate dimension f, whose k = 0 value C(j, i - j) (for i <= 2j)
+    falls out of the M(0, 0) = 1 convention.
     """
     if s < 0:
         raise ValueError(f"need s >= 0, got {s}")
@@ -207,7 +185,7 @@ def appendix_cell(kind: str, fixed: int, row: int, col: int) -> int:
     if kind == "c_by_i":
         return c_coeff(fixed, row, col) if row <= fixed else 0
     if kind == "cprime_by_k":
-        return c_prime(row, col, fixed)
+        return c_general(1, row, col, fixed)
     if kind == "cprime_weight":
         return c_weight_tableau(1, row, fixed, col)
     raise ValueError(f"unknown matrix kind {kind!r}")
@@ -237,7 +215,8 @@ def appendix_tables(kind: str, index: int | None = None) -> list[dict]:
 
 def pascal_identity_check(k: int, bound: int = 12) -> dict:
     """Check the two-deletion matrix is the one-deletion matrix times the
-    upper Pascal matrix: c_prime(i, j, k) = sum_f c_tableau(i-j, f, k) C(j, f).
+    upper Pascal matrix: C'(i, j, k) = c_general(1, i, j, k)
+    = sum_f c_tableau(i-j, f, k) C(j, f).
 
     Both sides are taken in tableau convention (the k = 0 corner needs the
     remainder count, not the matrix diagonal).  Returns per-cell mismatches,
@@ -248,7 +227,7 @@ def pascal_identity_check(k: int, bound: int = 12) -> dict:
     mismatches = []
     for i in range(1, bound + 1):
         for j in range(0, i + 1):
-            left = c_prime(i, j, k)
+            left = c_general(1, i, j, k)
             right = sum(
                 c_tableau(i - j, f, k) * binomial(j, f) for f in range(0, j + 1)
             )

@@ -1,6 +1,8 @@
-"""Domain errors raised by the counting engine.
+"""Errors raised by the counting engine.
 
-All of these map to CLI exit code 3; usage errors are argparse's exit code 2.
+Every DomainError maps to CLI exit code 3; usage errors are argparse's exit
+code 2.  InexactDivision marks a defect in the engine itself, not in the
+query, so the CLI lets it end in a traceback.
 """
 
 
@@ -30,3 +32,7 @@ class ConstantSequence(DomainError):
 
 class InvalidDisplacement(DomainError):
     """Walk displacement must have the same parity as the step count."""
+
+
+class InexactDivision(ArithmeticError):
+    """A division that a counting formula guarantees to be exact left a remainder."""

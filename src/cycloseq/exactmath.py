@@ -2,8 +2,9 @@
 
 Binomials, falling factorials, Stirling numbers of the second kind,
 composition counts (ordered partitions, De Moivre numbers) and
-exact-part partition counts.  Everything here is a pure function of its
-arguments and exact at any magnitude; Python ints carry the arithmetic.
+exact-part partition counts, the one checked exact division, and the
+sequence family (m, n) with its checks.  Everything here is a pure function
+of its arguments and exact at any magnitude; Python ints carry the arithmetic.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
+
+from .errors import DegenerateFamily, InexactDivision
 
 
 def binomial(a: int, b: int) -> int:
@@ -26,6 +29,18 @@ def binomial(a: int, b: int) -> int:
     if b < 0 or b > a:
         return 0
     return math.comb(a, b)
+
+
+def exact_div(num: int, den: int) -> int:
+    """num / den for a division that the counting formulas guarantee to be exact.
+
+    A remainder means a formula is wrong.  It raises InexactDivision, a
+    check that python -O keeps.
+    """
+    q, r = divmod(num, den)
+    if r:
+        raise InexactDivision("a counting formula left a remainder in an exact division")
+    return q
 
 
 def falling_factorial(x: int, k: int) -> int:
@@ -129,3 +144,11 @@ class SequenceFamily:
 
     def size(self) -> int:
         return binomial(self.N, self.m)
+
+
+def nondegenerate_family(m: int, n: int) -> SequenceFamily:
+    """The family (m, n), refusing it when it holds a single constant sequence."""
+    family = SequenceFamily(m, n)
+    if family.is_degenerate:
+        raise DegenerateFamily(f"family ({m}, {n}) is constant; query the oracle instead")
+    return family

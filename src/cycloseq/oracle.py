@@ -16,6 +16,7 @@ from math import comb
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .errors import CapExceeded, ConstantSequence, UnsupportedPattern
+from .exactmath import SequenceFamily
 from .patterncounts import parse_pattern
 from .tnumbers import SequenceType
 
@@ -50,7 +51,7 @@ def sequences_slice(m: int, n: int, lo: int, hi: int) -> Iterator[int]:
     """Words of the family whose colex ranks lie in [lo, hi)."""
     N = m + n
     _check_cap(N)
-    total = comb(N, n)
+    total = SequenceFamily(m, n).size()  # refuses negative digit counts, not constant families
     lo, hi = max(lo, 0), min(hi, total)
     for rank in range(lo, hi):
         word = 0
@@ -61,7 +62,7 @@ def sequences_slice(m: int, n: int, lo: int, hi: int) -> Iterator[int]:
 
 def sequences(m: int, n: int) -> Iterator[int]:
     """All words with m zeros and n ones, in colex rank order."""
-    yield from sequences_slice(m, n, 0, comb(m + n, n))
+    yield from sequences_slice(m, n, 0, SequenceFamily(m, n).size())
 
 
 def _occurrence_counter(N: int, pattern: str) -> Callable[[int], int]:

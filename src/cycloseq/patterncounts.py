@@ -8,14 +8,21 @@ its reversal 1 0^r, r >= 1), and 101.  The digit swap of a solved shape is
 solved too, by swapping the roles of m and n.  Together they cover every
 pattern of length at most three.  Everything else raises UnsupportedPattern
 and is left to the brute-force oracle.
+
+The counts of runs, of 0^r 1 (r >= 2) and of 101 are one height sum,
+`_over_heights`: (N/n) times the sum over the number h of blocks of ones of
+C(n, h) times the compositions of the m zeros into h parts that give the
+wanted occurrences.  The joint tables (`_joint`) keep its terms apart.  A
+single digit is counted directly and 01 by the jump numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from .errors import DegenerateFamily, UnsupportedPattern
-from .exactmath import SequenceFamily, binomial, demoivre
+from .errors import UnsupportedPattern
+from .exactmath import SequenceFamily, binomial, demoivre, exact_div, nondegenerate_family
 from .coeffs import c_general, c_tableau, c_weight_tableau
 from .tnumbers import CountDistribution, t_number
 
@@ -80,68 +87,63 @@ def is_solved_pattern(pattern: str) -> bool:
     return _solved_count(parse_pattern(pattern)) is not None
 
 
-def _exact_div(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    assert r == 0, "occurrence formula must divide exactly"
-    return q
+def _over_heights(m: int, n: int, least: int, tableaux: Callable[[int], int]) -> int:
+    """(N/n) sum over h = max(least, 1)..min(m, n) of C(n, h) * tableaux(h).
+
+    The counting step behind the closed forms: a sequence with h blocks of
+    ones pairs one of the compositions of its m zeros into h parts, counted
+    by tableaux(h), with a composition of its n ones into h parts, and
+    (N/n) C(n, h) = (N/h) M(h, n) counts those pairs on the N-cycle.
+    Heights below least contribute nothing and are not evaluated.
+    """
+    total = sum(binomial(n, h) * tableaux(h) for h in range(max(least, 1), min(m, n) + 1))
+    return exact_div((m + n) * total, n)
 
 
+# Each block of zeros carries at most one occurrence of 0^r 1 and of 101,
+# so ell occurrences need at least ell blocks.
 def _count_zeros_then_one(m: int, n: int, r: int, ell: int) -> int:
     """Sequences with exactly ell occurrences of the string 0^r 1."""
-    if ell < 0:
-        return 0
-    N = m + n
     if r == 1:
         return t_number(m, n, 2 * ell) if ell >= 1 else 0
-    s = r - 2
-    tot = sum(
-        c_general(s, m, h, ell) * binomial(n, h) for h in range(ell, min(m, n) + 1)
-    )
-    return _exact_div(N * tot, n)
+    return _over_heights(m, n, ell, lambda h: c_general(r - 2, m, h, ell))
 
 
 def _count_zero_run(m: int, n: int, r: int, g: int) -> int:
     """Sequences with exactly g occurrences of the run 0^r (r >= 2)."""
-    if g < 0:
-        return 0
-    N = m + n
-    tot = sum(
-        c_weight_tableau(r - 2, m, g, h) * binomial(n, h)
-        for h in range(1, min(m, n) + 1)
-    )
-    return _exact_div(N * tot, n)
+    return _over_heights(m, n, 1, lambda h: c_weight_tableau(r - 2, m, g, h))
 
 
 def _count_101(m: int, n: int, ell: int) -> int:
     """Sequences with exactly ell occurrences of 101."""
-    if ell < 0:
-        return 0
-    N = m + n
-    tot = sum(
-        c_tableau(m, h, h - ell) * binomial(n, h)
-        for h in range(ell, min(m, n) + 1)
-    )
-    return _exact_div(N * tot, n)
+    return _over_heights(m, n, ell, lambda h: c_tableau(m, h, h - ell))
+
+
+def _resolve(m: int, n: int, pattern: str):
+    """Check a query and return its family and the pattern's count function.
+
+    The count function is None for an unsolved pattern; callers refuse it.
+    """
+    pattern = parse_pattern(pattern)
+    family = nondegenerate_family(m, n)
+    if len(pattern) >= family.N:
+        raise UnsupportedPattern(
+            f"pattern length {len(pattern)} must be below the sequence length {family.N}"
+        )
+    return family, _solved_count(pattern)
+
+
+def _no_closed_form(pattern: str) -> UnsupportedPattern:
+    return UnsupportedPattern(f"no closed form for pattern {pattern!r}; use the oracle for it")
 
 
 def count_pattern(m: int, n: int, pattern: str, h: int) -> int:
     """Exact number of sequences of the family with h cyclic occurrences of the pattern."""
-    pattern = parse_pattern(pattern)
-    family = SequenceFamily(m, n)
-    if family.is_degenerate:
-        raise DegenerateFamily(f"family ({m}, {n}) is constant; query the oracle instead")
-    N = family.N
-    if len(pattern) >= N:
-        raise UnsupportedPattern(
-            f"pattern length {len(pattern)} must be below the sequence length {N}"
-        )
+    _, count = _resolve(m, n, pattern)
     if h < 0:
         return 0
-    count = _solved_count(pattern)
     if count is None:
-        raise UnsupportedPattern(
-            f"no closed form for pattern {pattern!r}; use the oracle for it"
-        )
+        raise _no_closed_form(pattern)
     return count(m, n, h)
 
 
@@ -151,58 +153,51 @@ def pattern_distribution(m: int, n: int, pattern: str) -> CountDistribution:
     Entries run from 0 to the largest occurrence count with a nonzero count;
     interior zeros are kept so the index range is contiguous.
     """
-    family = SequenceFamily(m, n)
-    counts = {h: count_pattern(m, n, pattern, h) for h in range(family.N + 1)}
-    top = max((h for h, v in counts.items() if v), default=0)
-    return CountDistribution(family, "occurrences", {h: counts[h] for h in range(top + 1)})
+    family, count = _resolve(m, n, pattern)
+    if count is None:
+        raise _no_closed_form(pattern)
+    counts = [count(m, n, h) for h in range(family.N + 1)]
+    top = max((h for h, v in enumerate(counts) if v), default=0)
+    return CountDistribution(family, "occurrences", dict(enumerate(counts[: top + 1])))
+
+
+def _joint(m: int, n: int, patterns: tuple[str, ...], cells) -> JointDistribution:
+    """Joint table of the patterns, 01 first, split by the heights of _over_heights.
+
+    cells(h) yields (rest, tableaux) pairs: the other patterns' occurrence
+    counts and the zero compositions into h parts that give them.  Each
+    nonzero pair becomes the entry at key (h, *rest).
+    """
+    family = nondegenerate_family(m, n)
+    entries: dict[tuple[int, ...], int] = {}
+    for h in range(1, min(m, n) + 1):
+        for rest, tableaux in cells(h):
+            if tableaux:
+                entries[(h, *rest)] = exact_div(family.N * binomial(n, h) * tableaux, n)
+    return JointDistribution(family, patterns, entries)
 
 
 def joint_01_001(m: int, n: int) -> JointDistribution:
     """Joint counts of (01)-occurrences h and (001)-occurrences ell."""
-    family = _nondegenerate(m, n)
-    N = family.N
-    entries: dict[tuple[int, ...], int] = {}
-    for h in range(1, min(m, n) + 1):
-        for ell in range(0, h + 1):
-            v = _exact_div(N * c_tableau(m, h, ell) * binomial(n, h), n)
-            if v:
-                entries[(h, ell)] = v
-    return JointDistribution(family, ("01", "001"), entries)
+    return _joint(m, n, ("01", "001"), lambda h: (
+        ((ell,), c_tableau(m, h, ell)) for ell in range(h + 1)
+    ))
 
 
 def joint_01_101(m: int, n: int) -> JointDistribution:
     """Joint counts of (01)-occurrences h and (101)-occurrences ell."""
-    family = _nondegenerate(m, n)
-    N = family.N
-    entries: dict[tuple[int, ...], int] = {}
-    for h in range(1, min(m, n) + 1):
-        for ell in range(0, h + 1):
-            v = _exact_div(N * c_tableau(m, h, h - ell) * binomial(n, h), n)
-            if v:
-                entries[(h, ell)] = v
-    return JointDistribution(family, ("01", "101"), entries)
+    return _joint(m, n, ("01", "101"), lambda h: (
+        ((ell,), c_tableau(m, h, h - ell)) for ell in range(h + 1)
+    ))
 
 
 def triple_01_001_0001(m: int, n: int) -> JointDistribution:
     """Joint counts of (01), (001) and (0001) occurrences (h, ell1, ell2)."""
-    family = _nondegenerate(m, n)
-    N = family.N
-    entries: dict[tuple[int, ...], int] = {}
-    for h in range(1, min(m, n) + 1):
-        base = binomial(n, h)
-        if not base:
-            continue
-        for ell1 in range(0, h + 1):
-            for ell2 in range(0, ell1 + 1):
-                ways = (
-                    binomial(h, ell1)
-                    * binomial(ell1, ell2)
-                    * demoivre(ell2, m - h - ell1)
-                )
-                if not ways:
-                    continue
-                entries[(h, ell1, ell2)] = _exact_div(N * ways * base, n)
-    return JointDistribution(family, ("01", "001", "0001"), entries)
+    return _joint(m, n, ("01", "001", "0001"), lambda h: (
+        ((ell1, ell2), binomial(h, ell1) * binomial(ell1, ell2) * demoivre(ell2, m - h - ell1))
+        for ell1 in range(h + 1)
+        for ell2 in range(ell1 + 1)
+    ))
 
 
 def kaplansky(N: int, n: int, p: int) -> int:
@@ -220,7 +215,7 @@ def kaplansky(N: int, n: int, p: int) -> int:
     reduced = N - (p - 1) * n
     if reduced <= 0 or reduced < n:
         return 0
-    return _exact_div(N * binomial(reduced, n), reduced)
+    return exact_div(N * binomial(reduced, n), reduced)
 
 
 def fibonacci_gf(N: int, r: int, h: int) -> int:
@@ -248,9 +243,3 @@ def all_sequences_001(N: int, ell: int) -> int:
         total += _count_zeros_then_one(m, N - m, 2, ell)
     return total
 
-
-def _nondegenerate(m: int, n: int) -> SequenceFamily:
-    family = SequenceFamily(m, n)
-    if family.is_degenerate:
-        raise DegenerateFamily(f"family ({m}, {n}) is constant; query the oracle instead")
-    return family

@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DegenerateFamily, InvalidTau
-from .exactmath import SequenceFamily, binomial, partitions_exact
+from .errors import InvalidTau
+from .exactmath import SequenceFamily, binomial, exact_div, nondegenerate_family, partitions_exact
 
 
 @dataclass(frozen=True)
@@ -48,15 +48,6 @@ class SequenceType:
         return len(self.zero_blocks)
 
 
-def _check_family(m: int, n: int) -> None:
-    if m < 0 or n < 0 or m + n < 1:
-        raise ValueError(f"need m, n >= 0 and m + n >= 1, got ({m}, {n})")
-    if m == 0 or n == 0:
-        raise DegenerateFamily(
-            f"family ({m}, {n}) holds a single constant sequence with zero jumps"
-        )
-
-
 def _check_tau(tau: int) -> int:
     if tau < 2 or tau % 2 != 0:
         raise InvalidTau(f"jump count must be even and >= 2, got {tau}")
@@ -65,29 +56,23 @@ def _check_tau(tau: int) -> int:
 
 def t_number(m: int, n: int, tau: int) -> int:
     """Number of sequences with m zeros, n ones and exactly tau cyclic jumps."""
-    _check_family(m, n)
+    nondegenerate_family(m, n)
     h = _check_tau(tau)
     if h > min(m, n):
         return 0
-    num = (m + n) * h * binomial(m, h) * binomial(n, h)
-    q, r = divmod(num, m * n)
-    assert r == 0, "jump count formula must divide exactly"
-    return q
+    return exact_div((m + n) * h * binomial(m, h) * binomial(n, h), m * n)
 
 
 def t_number_by_recurrence(m: int, n: int, tau: int) -> int:
     """Same contract as t_number, via the ratio recurrence seeded at tau = 2."""
-    _check_family(m, n)
+    nondegenerate_family(m, n)
     h = _check_tau(tau)
     if h > min(m, n):
         return 0
     value = m + n  # tau = 2: the N rotations of 0..01..1
     t = 2
     while t < tau:
-        num = value * 4 * (m - t // 2) * (n - t // 2)
-        q, r = divmod(num, t * (t + 2))
-        assert r == 0, "recurrence step must divide exactly"
-        value = q
+        value = exact_div(value * 4 * (m - t // 2) * (n - t // 2), t * (t + 2))
         t += 2
     return value
 
@@ -126,10 +111,7 @@ def _type_multiplicity(N: int, t: SequenceType) -> int:
                 denom *= math.factorial(count)
                 count = 1
         denom *= math.factorial(count)
-    num = N * math.factorial(h) * math.factorial(h - 1)
-    q, r = divmod(num, denom)
-    assert r == 0, "type multiplicity must be integral"
-    return q
+    return exact_div(N * math.factorial(h) * math.factorial(h - 1), denom)
 
 
 def type_census(m: int, n: int) -> list[tuple[SequenceType, int]]:
@@ -138,8 +120,7 @@ def type_census(m: int, n: int) -> list[tuple[SequenceType, int]]:
     Types are listed in lexicographic order of (height, zero blocks, one blocks);
     multiplicities sum to C(m+n, m).
     """
-    _check_family(m, n)
-    N = m + n
+    N = nondegenerate_family(m, n).N
     out: list[tuple[SequenceType, int]] = []
     for h in range(1, min(m, n) + 1):
         for zeros in partitions_exact(m, h):

@@ -233,7 +233,7 @@ def typo_ledger(max_n: int = 12) -> list[dict]:
     omitted = []
     for i in range(1, 13):
         for j in range(1, 12):
-            v = coeffs.c_prime(i, j, 0)
+            v = coeffs.c_general(1, i, j, 0)
             if v and j != i - 1:
                 omitted.append(((i, j), v))
     items.append({

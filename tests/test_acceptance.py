@@ -115,7 +115,7 @@ def test_criterion_03_coefficient_matrices(capsys):
     published_k0 = APPENDIX_PUBLISHED[("cprime_by_k", 0)]
     for i in range(1, 13):
         for j in range(1, 12):
-            v = coeffs.c_prime(i, j, 0)
+            v = coeffs.c_general(1, i, j, 0)
             if v and (i, j) not in published_k0:
                 assert coeffs.c_dim_enumerated(1, i, j, 0) == v
                 omitted += 1

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import cycloseq
 from cycloseq import patterncounts, tnumbers
 from cycloseq.cli import main
+
+SRC = str(Path(cycloseq.__file__).resolve().parent.parent)
 
 
 def run(capsys, *argv):
@@ -101,6 +108,36 @@ def test_usage_error_exit_2(capsys):
     assert code == 2 and "usage error" in err
     code, _, err = run(capsys, "fib", "--N", "4", "--r", "1", "--h", "0")
     assert code == 2
+
+
+def test_negative_digit_count_exit_2(capsys):
+    # both routes refuse a family with a negative digit count as a usage error
+    for m, n in ((-1, 3), (3, -1)):
+        for via in ("closed", "oracle"):
+            code, out, err = run(capsys, "dist", "--m", str(m), "--n", str(n),
+                                 "--pattern", "0", "--via", via, "--format", "json")
+            assert (code, out) == (2, ""), (m, n, via)
+            assert "need m, n >= 0" in err
+
+
+def test_exactness_checks_survive_python_O():
+    # python -O strips assert statements; the exactness checks must not be among them
+    env = {**os.environ, "PYTHONPATH": SRC}
+    probe = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "from cycloseq.errors import InexactDivision\n"
+         "from cycloseq.exactmath import exact_div\n"
+         "try:\n    exact_div(7, 2)\nexcept InexactDivision:\n    print('raised')"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout == "raised\n"
+    verify = subprocess.run(
+        [sys.executable, "-O", "-m", "cycloseq.cli", "verify", "--max-N", "8", "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert verify.returncode == 0, verify.stderr
+    assert json.loads(verify.stdout)["payload"]["all_equivalent"] is True
 
 
 def test_asym_distribution_mode(capsys):

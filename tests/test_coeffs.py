@@ -7,7 +7,6 @@ from cycloseq.coeffs import (
     c_coeff_by_recurrence,
     c_dim_enumerated,
     c_general,
-    c_prime,
     c_tableau,
     c_weight,
     c_weight_enumerated,
@@ -57,20 +56,30 @@ def test_row_sum_law(i):
 
 
 def test_c_prime_examples():
-    assert c_prime(5, 2, 1) == 4
-    assert c_prime(6, 3, 1) == 9
-    assert c_prime(4, 2, 0) == 1
-    assert c_prime(4, 2, 0) == binomial(2, 4 - 2)
+    # the two-deletion coefficient C' is c_general at s = 1
+    assert c_general(1, 5, 2, 1) == 4
+    assert c_general(1, 6, 3, 1) == 9
+    assert c_general(1, 4, 2, 0) == 1
+    assert c_general(1, 4, 2, 0) == binomial(2, 4 - 2)
+
+
+def two_deletion_sum(i, j, k):
+    """C' as the sum over the intermediate dimension f of C(j,f) C(f,k) M(k, i-j-f)."""
+    return sum(
+        binomial(j, f) * binomial(f, k) * demoivre(k, i - j - f)
+        for f in range(k, j + 1)
+        if i - j - f >= 0
+    )
 
 
 def test_c_general_reduces():
     assert c_general(0, 6, 2, 2) == c_coeff(6, 2, 2) == 3
-    assert c_general(1, 5, 2, 1) == c_prime(5, 2, 1) == 4
+    assert c_general(1, 5, 2, 1) == two_deletion_sum(5, 2, 1) == 4
     for i in range(1, 9):
         for j in range(0, i + 1):
             for k in range(0, i + 1):
                 assert c_general(0, i, j, k) == c_tableau(i, j, k)
-                assert c_general(1, i, j, k) == c_prime(i, j, k)
+                assert c_general(1, i, j, k) == two_deletion_sum(i, j, k)
 
 
 def test_c_general_deep_chain():

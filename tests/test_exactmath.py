@@ -1,11 +1,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from cycloseq.errors import DomainError, InexactDivision
 from cycloseq.exactmath import (
     SequenceFamily,
     binomial,
     compositions,
     demoivre,
+    exact_div,
     falling_factorial,
     partition_count,
     partitions_exact,
@@ -108,3 +110,13 @@ def test_family_invariants():
         SequenceFamily(0, 0)
     with pytest.raises(ValueError):
         SequenceFamily(-1, 2)
+
+
+def test_exact_div():
+    assert exact_div(42, 6) == 7
+    assert exact_div(0, -4) == 0
+    with pytest.raises(InexactDivision):
+        exact_div(7, 2)
+    # a remainder is a defect of the engine, never a usage or domain error
+    assert issubclass(InexactDivision, ArithmeticError)
+    assert not issubclass(InexactDivision, (DomainError, ValueError))

@@ -105,6 +105,10 @@ def test_unsupported_patterns():
         count_pattern(4, 4, "", 0)
     with pytest.raises(UnsupportedPattern):
         count_pattern(4, 4, "21", 0)
+    with pytest.raises(UnsupportedPattern):
+        pattern_distribution(4, 4, "0110")
+    # a negative occurrence count is answered before the pattern is refused
+    assert count_pattern(5, 3, "0110", -1) == 0
     assert not is_solved_pattern("0110")
     assert all(is_solved_pattern(p) for p in SOLVED)
 
@@ -133,6 +137,18 @@ def test_solved_set_by_length(L):
         else:
             with pytest.raises(UnsupportedPattern):
                 count_pattern(m, n, pattern, 1)
+
+
+def test_distribution_matches_point_counts_beyond_the_oracle_cap():
+    # pattern_distribution evaluates the count functions without count_pattern;
+    # past the oracle's reach, the two must still agree at every h
+    m, n = 24, 25
+    for L in range(1, 9):
+        for pattern in _solved_at_length(L):
+            dist = pattern_distribution(m, n, pattern)
+            assert dist.total == binomial(m + n, n), pattern
+            for h in range(m + n + 2):
+                assert dist[h] == count_pattern(m, n, pattern, h), (pattern, h)
 
 
 def test_pattern_longer_than_cycle():
