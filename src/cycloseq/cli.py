@@ -71,7 +71,7 @@ def _matrix_pretty(block: dict) -> str:
     labels = block.get("row_labels") or list(range(1, len(rows) + 1))
     cells = [["" if v == "0" or v == 0 else str(v) for v in row] for row in rows]
     width = max((len(c) for row in cells for c in row), default=1)
-    label_w = max(len(str(lab)) for lab in labels)
+    label_w = max((len(str(lab)) for lab in labels), default=1)
     lines = [f"{block['kind']}  fixed index {block['fixed_index']}"]
     for lab, row in zip(labels, cells):
         body = " ".join(c.rjust(width) for c in row).rstrip()
@@ -219,8 +219,10 @@ def _run_coeff(args) -> dict:
     if args.j is not None:
         value = _coeff_value(args.kind, args.s, args.i, args.j, args.k)
         return _envelope("coeff", params, str(value), "closed-form")
-    # no cell given: emit the whole grid for this fixed upper index
+    # no cell given: emit the whole grid for this fixed upper index, evaluating
+    # its first cell even when it is empty, to refuse what point queries refuse
     row_lo = 1 if args.kind == "cweight" else 0
+    _coeff_value(args.kind, args.s, args.i, row_lo, 0)
     labels = list(range(row_lo, args.i + 1))
     rows = [
         [str(_coeff_value(args.kind, args.s, args.i, j, k)) for k in range(args.i + 1)]
@@ -287,6 +289,19 @@ def _run_verify(args) -> tuple[dict, int]:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exact counts outgrow the interpreter's int-to-str digit limit (4300 by
+    # default, where it has one) long before they are costly to compute
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        return _run(parser, args)
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(parser, args)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(parser: argparse.ArgumentParser, args) -> int:
     out = sys.stdout
     try:
         if args.cmd == "tnum":

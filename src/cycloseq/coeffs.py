@@ -167,28 +167,38 @@ def c_weight_enumerated(s: int, m: int, g: int, h: int) -> int:
 
 # --- matrix emission -------------------------------------------------------
 
-APPENDIX_KINDS = ("c_by_k", "c_by_i", "cprime_by_k", "cprime_weight")
-
-_SHAPES = {
-    # kind: (fixed index values, row range, column range)
-    "c_by_k": (range(0, 6), range(1, 13), range(1, 13)),
-    "c_by_i": (range(3, 11), range(1, 11), range(0, 6)),
-    "cprime_by_k": (range(0, 4), range(1, 13), range(1, 12)),
-    "cprime_weight": (range(0, 4), range(1, 11), range(1, 10)),
+_MATRICES = {
+    # kind: (fixed index values, row range, column range, closed form, and
+    # column-deletion enumeration; both forms are functions of (fixed, row, col))
+    "c_by_k": (range(0, 6), range(1, 13), range(1, 13),
+               lambda k, i, j: c_coeff(i, j, k), lambda k, i, j: c_dim_enumerated(0, i, j, k)),
+    "c_by_i": (range(3, 11), range(1, 11), range(0, 6),
+               c_coeff, lambda i, j, k: c_dim_enumerated(0, i, j, k)),
+    "cprime_by_k": (range(0, 4), range(1, 13), range(1, 12),
+                    lambda k, i, j: c_general(1, i, j, k),
+                    lambda k, i, j: c_dim_enumerated(1, i, j, k)),
+    "cprime_weight": (range(0, 4), range(1, 11), range(1, 10),
+                      lambda g, m, h: c_weight_tableau(1, m, g, h),
+                      lambda g, m, h: c_weight_enumerated(1, m, g, h)),
 }
+APPENDIX_KINDS = tuple(_MATRICES)
+
+
+def _matrix(kind: str) -> tuple:
+    if kind not in _MATRICES:
+        raise ValueError(f"unknown matrix kind {kind!r}; expected one of {APPENDIX_KINDS}")
+    return _MATRICES[kind]
 
 
 def appendix_cell(kind: str, fixed: int, row: int, col: int) -> int:
     """Single cell of an emitted matrix, in that matrix's own row/column convention."""
-    if kind == "c_by_k":
-        return c_coeff(row, col, fixed)
-    if kind == "c_by_i":
-        return c_coeff(fixed, row, col) if row <= fixed else 0
-    if kind == "cprime_by_k":
-        return c_general(1, row, col, fixed)
-    if kind == "cprime_weight":
-        return c_weight_tableau(1, row, fixed, col)
-    raise ValueError(f"unknown matrix kind {kind!r}")
+    return _matrix(kind)[3](fixed, row, col)
+
+
+def appendix_cell_enumerated(kind: str, fixed: int, row: int, col: int) -> int:
+    """The same cell by brute-force column deletion (tableau counting); it differs
+    from appendix_cell only at the matrix-convention corner c(i, i, 0), i >= 2."""
+    return _matrix(kind)[4](fixed, row, col)
 
 
 def appendix_tables(kind: str, index: int | None = None) -> list[dict]:
@@ -197,9 +207,7 @@ def appendix_tables(kind: str, index: int | None = None) -> list[dict]:
     Rows are dense integer grids; structural zeros are plain 0 here and
     become blanks only in the human-readable rendering.
     """
-    if kind not in _SHAPES:
-        raise ValueError(f"unknown matrix kind {kind!r}; expected one of {APPENDIX_KINDS}")
-    fixed_values, row_range, col_range = _SHAPES[kind]
+    fixed_values, row_range, col_range, _, _ = _matrix(kind)
     if index is not None:
         if index not in fixed_values:
             raise ValueError(f"index {index} out of range for {kind}")

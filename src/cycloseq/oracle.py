@@ -2,8 +2,9 @@
 
 Sequences are fixed-width bit words (bit i = digit at position i); cyclic
 windows are extracted by doubling the word and masking.  Enumeration of a
-family visits its one-position combinations in colexicographic rank order,
-so chunked runs over rank ranges merge to exactly the sequential tally.
+family visits its one-position combinations in the fixed order of
+`itertools.combinations`, so chunked runs over rank ranges merge to exactly
+the sequential tally.
 The default size cap N <= 20 keeps words within a machine word and runtimes
 bounded; CYCLOSEQ_ORACLE_CAP overrides it.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from math import comb
+from itertools import combinations, islice
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .errors import CapExceeded, ConstantSequence, UnsupportedPattern
@@ -35,33 +36,17 @@ def _check_cap(N: int) -> None:
         raise ValueError(f"need N >= 1, got {N}")
 
 
-def unrank_combination(rank: int, n_positions: int, k: int) -> tuple[int, ...]:
-    """Colex unranking: the rank-th k-subset of {0..n_positions-1}."""
-    out = []
-    for slot in range(k, 0, -1):
-        c = slot - 1
-        while comb(c + 1, slot) <= rank:
-            c += 1
-        out.append(c)
-        rank -= comb(c, slot)
-    return tuple(reversed(out))
-
-
 def sequences_slice(m: int, n: int, lo: int, hi: int) -> Iterator[int]:
-    """Words of the family whose colex ranks lie in [lo, hi)."""
+    """Words of the family whose ranks in enumeration order lie in [lo, hi)."""
     N = m + n
     _check_cap(N)
-    total = SequenceFamily(m, n).size()  # refuses negative digit counts, not constant families
-    lo, hi = max(lo, 0), min(hi, total)
-    for rank in range(lo, hi):
-        word = 0
-        for pos in unrank_combination(rank, N, n):
-            word |= 1 << pos
-        yield word
+    SequenceFamily(m, n)  # refuses negative digit counts, not constant families
+    lo = max(lo, 0)
+    yield from map(sum, islice(combinations([1 << p for p in range(N)], n), lo, max(lo, hi)))
 
 
 def sequences(m: int, n: int) -> Iterator[int]:
-    """All words with m zeros and n ones, in colex rank order."""
+    """All words with m zeros and n ones, in enumeration order."""
     yield from sequences_slice(m, n, 0, SequenceFamily(m, n).size())
 
 
@@ -149,35 +134,31 @@ def joint_distribution(m: int, n: int, patterns: Iterable[str]) -> dict[tuple[in
 def pattern_census(m: int, n: int, max_len: int = 4) -> dict[str, dict[int, int]]:
     """Occurrence distributions of every pattern up to max_len, in one sweep.
 
-    A window of length L determines the shorter windows starting at the same
-    position, so a single pass over each word tallies every pattern at once.
+    Each word is tallied by its profile, the counts of its N cyclic windows of
+    length max_len by value.  A shorter pattern occurs wherever a window
+    starts with it, so every distribution is read off the profiles.
     """
     N = m + n
     _check_cap(N)
     max_len = min(max_len, N - 1) if N > 1 else 1
-    sizes = [(L, (1 << L) - 1, 1 << L) for L in range(1, max_len + 1)]
-    names = {
-        L: [format(v, f"0{L}b")[::-1] for v in range(1 << L)]
-        for L, _, _ in sizes
-    }
-    out: dict[str, dict[int, int]] = {
-        names[L][v]: {} for L, _, size in sizes for v in range(size)
-    }
-    for word in sequences(m, n):
+    mask = (1 << max_len) - 1
+
+    def profile(word: int) -> tuple[int, ...]:
         doubled = word | (word << N)
-        per = {L: [0] * size for L, _, size in sizes}
+        counts = [0] * (mask + 1)
         for i in range(N):
-            chunk = doubled >> i
-            for L, mask, _ in sizes:
-                per[L][chunk & mask] += 1
-        for L, _, size in sizes:
-            row = per[L]
-            name_row = names[L]
-            for v in range(size):
-                d = out[name_row[v]]
-                h = row[v]
-                d[h] = d.get(h, 0) + 1
-    return {p: dict(sorted(d.items())) for p, d in out.items()}
+            counts[(doubled >> i) & mask] += 1
+        return tuple(counts)
+
+    profiles = tally(sequences(m, n), profile)
+    out: dict[str, dict[int, int]] = {}
+    for L in range(1, max_len + 1):
+        for v in range(1 << L):
+            dist: Counter = Counter()
+            for counts, words in profiles.items():
+                dist[sum(counts[v :: 1 << L])] += words
+            out[format(v, f"0{L}b")[::-1]] = dict(sorted(dist.items()))
+    return out
 
 
 def type_census(m: int, n: int) -> dict[SequenceType, int]:

@@ -214,12 +214,7 @@ def typo_ledger(max_n: int = 12) -> list[dict]:
     for defect in PRINT_DEFECTS:
         kind, fixed, (row, col) = defect["kind"], defect["fixed_index"], defect["cell"]
         formula = coeffs.appendix_cell(kind, fixed, row, col)
-        if kind == "cprime_weight":
-            enumerated = coeffs.c_weight_enumerated(1, row, fixed, col)
-        elif kind == "c_by_i":
-            enumerated = coeffs.c_dim_enumerated(0, fixed, row, col)
-        else:
-            enumerated = coeffs.c_dim_enumerated(0, row, col, fixed)
+        enumerated = coeffs.appendix_cell_enumerated(kind, fixed, row, col)
         items.append({
             "id": f"matrix-cell-{kind}-{fixed}-{row}-{col}",
             "location": f"{kind} matrix, fixed index {fixed}, cell ({row}, {col})",
@@ -230,19 +225,16 @@ def typo_ledger(max_n: int = 12) -> list[dict]:
             if formula == enumerated == defect["corrected"] else "UNRESOLVED",
         })
 
-    omitted = []
-    for i in range(1, 13):
-        for j in range(1, 12):
-            v = coeffs.c_general(1, i, j, 0)
-            if v and j != i - 1:
-                omitted.append(((i, j), v))
+    k0 = {(i, j): coeffs.c_general(1, i, j, 0) for i in range(1, 13) for j in range(1, 12)}
+    k0_ok = all(v == coeffs.c_dim_enumerated(1, i, j, 0) for (i, j), v in k0.items())
+    omitted = [((i, j), v) for (i, j), v in k0.items() if v and j != i - 1]
     items.append({
         "id": "cprime-k0-matrix-omissions",
         "location": "two-deletion matrix at dimension index 0",
         "published_reading": "only the first subdiagonal is printed",
         "corrected_reading": f"{len(omitted)} further nonzero cells from the closed form",
-        "oracle": "closed form matches column-deletion enumeration",
-        "verdict": "published matrix incomplete",
+        "oracle": "closed form matches column-deletion enumeration" if k0_ok else "mismatch",
+        "verdict": "published matrix incomplete" if k0_ok else "UNRESOLVED",
     })
 
     scale = comb(10, 5)

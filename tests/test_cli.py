@@ -37,6 +37,19 @@ def test_tnum_point(capsys):
     assert env["payload"] == "120"
 
 
+def test_tnum_beyond_the_int_str_digit_limit(capsys):
+    # the count has 4813 digits, past CPython's default int-to-str limit of 4300
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    env = run_json(capsys, "tnum", "--m", "8000", "--n", "8000", "--tau", "8000")
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit  # restored
+    value = tnumbers.t_number(8000, 8000, 8000)
+    assert len(env["payload"]) == 4813
+    # the expected digits, converted in 1000-digit chunks that each stay within the limit
+    assert env["payload"] == "".join(
+        str(value // 10**e % 10**1000).zfill(1000) for e in range(4000, -1, -1000)
+    ).lstrip("0")
+
+
 def test_dist_closed(capsys):
     env = run_json(capsys, "dist", "--m", "5", "--n", "3", "--pattern", "000")
     assert env["payload"] == {"0": "8", "1": "24", "2": "16", "3": "8"}
@@ -118,6 +131,11 @@ def test_negative_digit_count_exit_2(capsys):
                                  "--pattern", "0", "--via", via, "--format", "json")
             assert (code, out) == (2, ""), (m, n, via)
             assert "need m, n >= 0" in err
+    # the oracle reads the pattern before it starts enumerating the family
+    code, out, err = run(capsys, "dist", "--m", "-1", "--n", "3", "--pattern", "x",
+                         "--via", "oracle", "--format", "json")
+    assert (code, out) == (3, "")
+    assert "pattern must be" in err
 
 
 def test_exactness_checks_survive_python_O():
@@ -170,6 +188,29 @@ def test_coeff_grid_mode(capsys):
     assert grid["rows"][4][0] == "4"  # matrix-convention diagonal
     code, _, err = run(capsys, "coeff", "--kind", "c", "--i", "4", "--j", "2")
     assert code == 3 and "together" in err
+
+
+@pytest.mark.parametrize("kind, s, i", [
+    ("c", 0, -3), ("c", 0, 0), ("cprime", 0, 0), ("cs", 2, -1), ("cs", -1, -1),
+    ("cweight", 0, 0), ("cweight", 1, -1), ("cweight", -1, 0),
+])
+def test_coeff_grid_refuses_what_point_queries_refuse(capsys, kind, s, i):
+    # the grid's first cell is (j, k) = (1, 0) for cweight and (0, 0) otherwise
+    first = ["--j", "1" if kind == "cweight" else "0", "--k", "0"]
+    base = ["coeff", "--kind", kind, "--s", str(s), "--i", str(i)]
+    point = run(capsys, *base, *first)
+    assert point[:2] == (2, "")
+    for fmt in ("json", "csv", "pretty"):
+        assert run(capsys, *base, "--format", fmt) == point, fmt
+
+
+def test_coeff_empty_grid(capsys):
+    # i = 0 is a valid index for cweight at s >= 1, and its grid has no rows
+    argv = ["coeff", "--kind", "cweight", "--s", "1", "--i", "0"]
+    assert run_json(capsys, *argv)["payload"]["rows"] == []
+    for fmt in ("csv", "pretty"):
+        code, _, err = run(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, ""), fmt
 
 
 def test_oracle_rejects_overlong_pattern(capsys):

@@ -2,6 +2,7 @@ import pytest
 
 from cycloseq.coeffs import (
     appendix_cell,
+    appendix_cell_enumerated,
     appendix_tables,
     c_coeff,
     c_coeff_by_recurrence,
@@ -144,6 +145,24 @@ def test_appendix_published_cells():
                 assert published == defect["published"] != defect["corrected"]
             checked += 1
     assert checked > 300
+
+
+def test_appendix_cells_equal_their_enumeration():
+    # every emitted cell but the matrix-convention corner c(i, i, 0), i >= 2
+    corners = {"c_by_k": 0, "c_by_i": 0}
+    for kind in ("c_by_k", "c_by_i", "cprime_by_k", "cprime_weight"):
+        for block in appendix_tables(kind):
+            fixed = block["fixed_index"]
+            for row, values in enumerate(block["rows"], start=1):
+                for col, value in enumerate(values, start=0 if kind == "c_by_i" else 1):
+                    enumerated = appendix_cell_enumerated(kind, fixed, row, col)
+                    if value == enumerated:
+                        continue
+                    i, j, k = (fixed, row, col) if kind == "c_by_i" else (row, col, fixed)
+                    assert kind in corners and i == j >= 2 and k == 0, (kind, fixed, row, col)
+                    assert (value, enumerated) == (i, 1)
+                    corners[kind] += 1
+    assert corners == {"c_by_k": 11, "c_by_i": 8}
 
 
 def test_appendix_rows_shape():

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from cycloseq import oracle
@@ -19,17 +21,17 @@ def test_enumeration_visits_every_word_once():
 
 
 def test_chunked_runs_merge_to_sequential():
+    # chunks may start below rank 0 and end past C(N, n); empty ones yield nothing
+    for m, n in ((4, 4), (0, 5), (5, 0)):
+        full = list(oracle.sequences(m, n))
+        pieces = []
+        for lo in range(-7, len(full) + 14, 7):
+            pieces.extend(oracle.sequences_slice(m, n, lo, lo + 7))
+        assert pieces == full, (m, n)
     full = list(oracle.sequences(4, 4))
-    pieces = []
-    for lo in range(0, 80, 7):
-        pieces.extend(oracle.sequences_slice(4, 4, lo, lo + 7))
-    assert pieces == full
-
-
-def test_unrank_is_colex_increasing():
-    combos = [oracle.unrank_combination(r, 8, 3) for r in range(binomial(8, 3))]
-    assert combos == sorted(combos, key=lambda c: tuple(reversed(c)))
-    assert len(set(combos)) == len(combos)
+    assert list(oracle.sequences_slice(4, 4, -5, 200)) == full
+    for lo, hi in ((9, 9), (9, 3), (5, -3), (80, 90)):
+        assert list(oracle.sequences_slice(4, 4, lo, hi)) == [], (lo, hi)
 
 
 def test_cyclic_window_counting():
@@ -79,9 +81,13 @@ def test_type_signatures():
 
 
 def test_pattern_census_agrees_with_single_queries():
-    census = oracle.pattern_census(4, 3, max_len=4)
-    for pattern in ("0", "01", "110", "0001", "1111"):
-        assert census[pattern] == oracle.pattern_distribution(4, 3, pattern)
+    for m, n, max_len in ((4, 3, 4), (1, 1, 4), (2, 1, 4), (3, 2, 4), (5, 3, 5)):
+        census = oracle.pattern_census(m, n, max_len=max_len)
+        top = min(max_len, m + n - 1)
+        patterns = ["".join(p) for L in range(1, top + 1) for p in product("01", repeat=L)]
+        assert sorted(census) == sorted(patterns)
+        for pattern in patterns:
+            assert census[pattern] == oracle.pattern_distribution(m, n, pattern), (m, n, pattern)
 
 
 def test_allwords_distributions():
