@@ -53,17 +53,20 @@ def sequences(m: int, n: int) -> Iterator[int]:
 def _occurrence_counter(N: int, pattern: str) -> Callable[[int], int]:
     """cyclic_occurrences(word, N, pattern) as a function of the word alone."""
     pattern = parse_pattern(pattern)
-    L = len(pattern)
-    if L > N:
-        raise UnsupportedPattern(
-            f"pattern length {L} exceeds the cycle length {N}"
-        )
-    target = sum(1 << j for j, ch in enumerate(pattern) if ch == "1")
-    mask = (1 << L) - 1
+    if len(pattern) > N:
+        raise UnsupportedPattern(f"pattern length {len(pattern)} exceeds the cycle length {N}")
+    ones = [j for j, ch in enumerate(pattern) if ch == "1"]
+    zeros = [j for j, ch in enumerate(pattern) if ch == "0"]
 
     def occurrences(word: int) -> int:
+        # bit i of doubled >> j is digit j of the window starting at i
         doubled = word | (word << N)
-        return sum(1 for i in range(N) if (doubled >> i) & mask == target)
+        hits = (1 << N) - 1
+        for j in ones:
+            hits &= doubled >> j
+        for j in zeros:
+            hits &= ~doubled >> j
+        return hits.bit_count()
 
     return occurrences
 

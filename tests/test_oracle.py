@@ -42,6 +42,17 @@ def test_cyclic_window_counting():
     assert oracle.jump_count(w, 24) == 10
 
 
+def test_window_counting_matches_string_scan():
+    # every word of N <= 7 digits, every pattern up to the whole cycle
+    for N in range(1, 8):
+        for L in range(1, N + 1):
+            for pattern in map("".join, product("01", repeat=L)):
+                for w in range(1 << N):
+                    bits = "".join(str((w >> i) & 1) for i in range(N))
+                    scan = sum((bits + bits)[i : i + L] == pattern for i in range(N))
+                    assert oracle.cyclic_occurrences(w, N, pattern) == scan, (N, pattern, w)
+
+
 def test_wraparound_window():
     assert oracle.cyclic_occurrences(_word("01"), 2, "01") == 1
     assert oracle.cyclic_occurrences(_word("10"), 2, "01") == 1
