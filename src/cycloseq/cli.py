@@ -261,6 +261,7 @@ def _run_moments(args) -> dict:
 
 def _run_asym(args) -> dict:
     params = {"m": args.m, "n": args.n}
+    analytics.t_asymptotic(args.m, args.n, 0.0)  # refuses a family lacking a digit, in every mode
     if args.sweep:
         top = 2 * min(args.m, args.n) + 2
         pairs = []

@@ -1,20 +1,32 @@
 """Column-deletion coefficients on ordered-partition tableaux.
 
 Draw a composition of i into j ordered positive parts as rows of boxes and
-delete its first s+1 columns.  For each source composition the remainder is
-another composition; these coefficients count remainders by dimension
+delete its first c = s+1 columns.  For each source composition the remainder
+is another composition; these coefficients count remainders by dimension
 (number of surviving rows, index k) or by weight (number of surviving
 boxes, index g), with multiplicity over the source compositions.
+
+The k parts longer than c survive with their excess over c, a composition
+of g into k parts, and the other j-k parts hold 1..c boxes each.  So every
+deeper count (`c_general`, and C' at s = 1) sums one term over g, and
+`c_weight_tableau` sums it over k:
+
+    T(s, i, j, k, g) = C(j, k) * M(k, g) * R_c(j-k, i - g - c*k)
+
+with M the composition count and R_c(q, v) the number of compositions of v
+into q parts of size 1..c, tabulated once per (c, total).
 
 Two conventions coexist for the corner c(i, i, 0).  The tabulated matrices
 define it as i (each single-column tableau is charged once per cell), while
 the occurrence formulas need the plain remainder count 1.  `c_tableau` counts
 remainders, and everything that feeds sequence counting uses it; `c_coeff` is
-`c_tableau` with the matrix-convention corner.  Deeper deletions are
-`c_general`; the two-deletion coefficient C' is `c_general` at s = 1.
+`c_tableau` with the matrix-convention corner.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from itertools import accumulate
 
 from .exactmath import binomial, compositions, demoivre, exact_div
 
@@ -63,14 +75,32 @@ def c_coeff_by_recurrence(i: int, j: int, k: int) -> int:
     return value
 
 
+@lru_cache(maxsize=None)
+def _short_part_rows(c: int, top: int) -> list[list[int]]:
+    """Rows q = 0, 1, ... of R_c(q, v) for v = 0..top, as far as _term has built them."""
+    return [[1] + [0] * top]
+
+
+def _term(s: int, i: int, j: int, k: int, g: int) -> int:
+    """T(s, i, j, k, g); the caller keeps i - g - (s+1) k inside j-k..i.
+
+    Row q of R_c is a windowed prefix sum of row q-1: R_c(q, v) is the sum
+    of R_c(q-1, u) over v-c <= u < v.  Each row is built once per (c, i).
+    """
+    c = s + 1
+    rows = _short_part_rows(c, i)
+    while len(rows) <= j - k:
+        prefix = [0, *accumulate(rows[-1])]
+        rows.append([prefix[v] - prefix[max(v - c, 0)] for v in range(i + 1)])
+    return binomial(j, k) * demoivre(k, g) * rows[j - k][i - g - c * k]
+
+
 def c_general(s: int, i: int, j: int, k: int) -> int:
     """Dimension-k remainders after deleting s+1 columns (tableau counting).
 
-    Enumerates the descending chains j >= f1 >= ... >= fs >= k of intermediate
-    dimensions explicitly.  s = 0 is c_tableau; s = 1 is the two-deletion
-    coefficient C', the sum of C(j, f) C(f, k) M(k, i - j - f) over the
-    intermediate dimension f, whose k = 0 value C(j, i - j) (for i <= 2j)
-    falls out of the M(0, 0) = 1 convention.
+    The sum of T(s, i, j, k, g) over the weights g where it can be nonzero,
+    max(k, i - (s+1) j) <= g <= i - s k - j.  s = 0 is c_tableau; s = 1 is
+    the two-deletion coefficient C'.
     """
     if s < 0:
         raise ValueError(f"need s >= 0, got {s}")
@@ -78,28 +108,16 @@ def c_general(s: int, i: int, j: int, k: int) -> int:
         raise ValueError(f"need i >= 1, j >= 0, k >= 0, got ({i}, {j}, {k})")
     if s == 0:
         return c_tableau(i, j, k)
-    budget = i - j
-    total = 0
-
-    def descend(depth: int, prev: int, used: int, ways: int) -> None:
-        nonlocal total
-        if depth == s:
-            total += ways * binomial(prev, k) * demoivre(k, budget - used)
-            return
-        for f in range(k, prev + 1):
-            if used + f > budget:
-                break
-            descend(depth + 1, f, used + f, ways * binomial(prev, f))
-
-    descend(0, j, 0, 1)
-    return total
+    return sum(_term(s, i, j, k, g) for g in range(max(k, i - (s + 1) * j), i - s * k - j + 1))
 
 
 def c_weight_tableau(s: int, m: int, g: int, h: int) -> int:
     """Weight-g remainders after deleting s+1 columns from height-h tableaux of m.
 
-    For s = 0 the remainder weight is forced to m - h, so the count is the
-    full composition count at g = m - h and zero elsewhere.
+    The sum of T(s, m, h, k, g) over k <= min(h, g, (m - g - h) // s); no
+    term is nonzero unless h <= m - g <= (s+1) h.  For s = 0 the remainder
+    weight is forced to m - h, so the count is the full composition count at
+    g = m - h and zero elsewhere.
     """
     if s < 0:
         raise ValueError(f"need s >= 0, got {s}")
@@ -107,26 +125,9 @@ def c_weight_tableau(s: int, m: int, g: int, h: int) -> int:
         raise ValueError("indices must be nonnegative")
     if s == 0:
         return demoivre(h, m) if g == m - h else 0
-    target = m - h - g
-    if target < 0:
+    if not h <= m - g <= (s + 1) * h:
         return 0
-    total = 0
-
-    def descend(depth: int, prev: int, used: int, ways: int) -> None:
-        nonlocal total
-        if depth == s:
-            if used == target:
-                total += ways * sum(
-                    binomial(prev, k) * demoivre(k, g) for k in range(prev + 1)
-                )
-            return
-        for f in range(prev + 1):
-            if used + f > target:
-                break
-            descend(depth + 1, f, used + f, ways * binomial(prev, f))
-
-    descend(0, h, 0, 1)
-    return total
+    return sum(_term(s, m, h, k, g) for k in range(min(h, g, (m - g - h) // s) + 1))
 
 
 def c_weight(s: int, m: int, g: int, h: int) -> int:
@@ -134,15 +135,12 @@ def c_weight(s: int, m: int, g: int, h: int) -> int:
 
     s = 0 returns C(m-1, g) independently of h (counting runs over all
     heights at once in that case); s >= 1 returns the per-height tableau
-    count, identical to c_weight_tableau.
+    count, identical to c_weight_tableau.  Every s refuses negative g and h.
     """
-    if s < 0:
-        raise ValueError(f"need s >= 0, got {s}")
-    if s == 0:
-        if m < 1:
-            raise ValueError(f"need m >= 1, got {m}")
-        return binomial(m - 1, g)
-    return c_weight_tableau(s, m, g, h)
+    if s == 0 and m < 1:
+        raise ValueError(f"need m >= 1, got {m}")
+    per_height = c_weight_tableau(s, m, g, h)  # at s = 0 only for its index checks
+    return binomial(m - 1, g) if s == 0 else per_height
 
 
 def c_dim_enumerated(s: int, i: int, j: int, k: int) -> int:

@@ -164,6 +164,12 @@ def test_asym_distribution_mode(capsys):
     assert env["payload"]["2"] == pytest.approx(8.6206, abs=1e-3)
 
 
+@pytest.mark.parametrize("mode", [[], ["--tau", "2"], ["--sweep"]])
+def test_asym_refuses_a_negative_digit_count_in_every_mode(capsys, mode):
+    code, out, err = run(capsys, "asym", "--m", "-1", "--n", "3", *mode)
+    assert (code, out, err) == (3, "", "error: asymptotic form needs both digits present\n")
+
+
 def test_fib_and_kaplansky(capsys):
     assert run_json(capsys, "fib", "--N", "5", "--r", "3", "--h", "0")["payload"] == "20"
     assert run_json(capsys, "kaplansky", "--N", "6", "--n", "2", "--p", "2")["payload"] == "9"
@@ -202,6 +208,14 @@ def test_coeff_grid_refuses_what_point_queries_refuse(capsys, kind, s, i):
     assert point[:2] == (2, "")
     for fmt in ("json", "csv", "pretty"):
         assert run(capsys, *base, "--format", fmt) == point, fmt
+
+
+@pytest.mark.parametrize("s", [0, 1, 2])
+@pytest.mark.parametrize("height, weight", [(9, -1), (-2, 1)])
+def test_cweight_refuses_negative_indices_at_every_s(capsys, s, height, weight):
+    argv = ["coeff", "--kind", "cweight", "--s", str(s), "--i", "3",
+            "--j", str(height), "--k", str(weight)]
+    assert run(capsys, *argv) == (2, "", "usage error: indices must be nonnegative\n")
 
 
 def test_coeff_empty_grid(capsys):

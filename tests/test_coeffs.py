@@ -83,6 +83,43 @@ def test_c_general_reduces():
                 assert c_general(1, i, j, k) == two_deletion_sum(i, j, k)
 
 
+# The paper's descending chains, the reference for the restricted-composition
+# sums: after the first deletion, each further deletion keeps f of the prev
+# surviving rows and takes f boxes out of what is left.
+def dimension_chain(depth, prev, left, k):
+    """Sum over chains prev >= f_1 >= ... >= f_depth >= k with left boxes to spend."""
+    if depth == 0:
+        return binomial(prev, k) * demoivre(k, left)
+    return sum(
+        binomial(prev, f) * dimension_chain(depth - 1, f, left - f, k)
+        for f in range(k, min(prev, left) + 1)
+    )
+
+
+def weight_chain(depth, prev, left, g):
+    """Sum over chains prev >= f_1 >= ... >= f_depth spending exactly left boxes,
+    closed by every remainder of weight g."""
+    if depth == 0:
+        return 0 if left else sum(binomial(prev, k) * demoivre(k, g) for k in range(prev + 1))
+    return sum(
+        binomial(prev, f) * weight_chain(depth - 1, f, left - f, g)
+        for f in range(min(prev, left) + 1)
+    )
+
+
+@pytest.mark.parametrize("s", range(1, 5))
+def test_restricted_compositions_equal_the_descending_chain(s):
+    for i in range(1, 15):
+        for j in range(0, i + 1):
+            for k in range(0, i + 1):
+                assert c_general(s, i, j, k) == dimension_chain(s, j, i - j, k), (i, j, k)
+    for m in range(0, 15):
+        for h in range(0, m + 1):
+            for g in range(0, m + 1):
+                want = weight_chain(s, h, m - h - g, g)
+                assert c_weight_tableau(s, m, g, h) == want, (m, g, h)
+
+
 def test_c_general_deep_chain():
     assert c_general(2, 9, 3, 1) == 24
     # three extra deletions, spot-checked against direct enumeration
@@ -90,7 +127,7 @@ def test_c_general_deep_chain():
         assert c_general(3, i, j, k) == c_dim_enumerated(3, i, j, k)
 
 
-@pytest.mark.parametrize("s", [0, 1, 2])
+@pytest.mark.parametrize("s", range(6))
 def test_dimension_counts_match_enumeration(s):
     for i in range(1, 11):
         for j in range(0, i + 1):
@@ -102,7 +139,7 @@ def test_dimension_counts_match_enumeration(s):
                     assert c_general(s, i, j, k) == want
 
 
-@pytest.mark.parametrize("s", [0, 1, 2])
+@pytest.mark.parametrize("s", range(6))
 def test_weight_counts_match_enumeration(s):
     for m in range(1, 11):
         for h in range(1, m + 1):

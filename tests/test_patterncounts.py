@@ -151,6 +151,26 @@ def test_distribution_matches_point_counts_beyond_the_oracle_cap():
                 assert dist[h] == count_pattern(m, n, pattern, h), (pattern, h)
 
 
+SOLVED_UP_TO_10 = sorted(p for L in range(1, 11) for p in _solved_at_length(L))
+DEEP_ZEROS_THEN_ONE = ["0" * 100 + "1", "1" + "0" * 100, "1" * 100 + "0", "0" + "1" * 100]
+
+
+@pytest.mark.parametrize("m, n, patterns", [
+    (60, 60, SOLVED_UP_TO_10), (37, 83, SOLVED_UP_TO_10), (300, 300, DEEP_ZEROS_THEN_ONE),
+])
+def test_closed_forms_meet_exact_identities_far_beyond_the_oracle_cap(m, n, patterns):
+    # an independent exact check where enumeration cannot reach: the counts
+    # sum to the family size C(N, n), and the occurrences sum to N C(N-L, n-w),
+    # since each of the N windows spells a pattern with w ones in C(N-L, n-w)
+    # sequences
+    N = m + n
+    for pattern in patterns:
+        entries = pattern_distribution(m, n, pattern).entries
+        L, w = len(pattern), pattern.count("1")
+        assert sum(entries.values()) == binomial(N, n), pattern
+        assert sum(h * v for h, v in entries.items()) == N * binomial(N - L, n - w), pattern
+
+
 def test_pattern_longer_than_cycle():
     with pytest.raises(UnsupportedPattern):
         count_pattern(1, 1, "101", 0)
