@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import analytics, coeffs, oracle, patterncounts, physics, tnumbers, verification
-from .errors import DomainError, UnsupportedPattern
+from .errors import DegenerateFamily, DomainError, UnsupportedPattern
 
 FORMAT_VERSION = "1"
 
@@ -261,7 +261,8 @@ def _run_moments(args) -> dict:
 
 def _run_asym(args) -> dict:
     params = {"m": args.m, "n": args.n}
-    analytics.t_asymptotic(args.m, args.n, 0.0)  # refuses a family lacking a digit, in every mode
+    if args.m < 1 or args.n < 1:
+        raise DegenerateFamily("asymptotic form needs both digits present")
     if args.sweep:
         top = 2 * min(args.m, args.n) + 2
         pairs = []

@@ -77,12 +77,16 @@ def c_coeff_by_recurrence(i: int, j: int, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def _short_part_rows(c: int, top: int) -> list[list[int]]:
-    """Rows q = 0, 1, ... of R_c(q, v) for v = 0..top, as far as _term has built them."""
-    return [[1] + [0] * top]
+    """Rows q = 0, 1, ... of R_c, as far as _term has built them.
+
+    Row q holds R_c(q, v) only on its band q <= v <= min(c q, top), at
+    offset v - q; R_c vanishes off the band.
+    """
+    return [[1]]
 
 
 def _term(s: int, i: int, j: int, k: int, g: int) -> int:
-    """T(s, i, j, k, g); the caller keeps i - g - (s+1) k inside j-k..i.
+    """T(s, i, j, k, g); the caller keeps i - g - (s+1) k inside the band of row j-k.
 
     Row q of R_c is a windowed prefix sum of row q-1: R_c(q, v) is the sum
     of R_c(q-1, u) over v-c <= u < v.  Each row is built once per (c, i).
@@ -90,9 +94,12 @@ def _term(s: int, i: int, j: int, k: int, g: int) -> int:
     c = s + 1
     rows = _short_part_rows(c, i)
     while len(rows) <= j - k:
+        q = len(rows)
+        width = len(rows[-1])
         prefix = [0, *accumulate(rows[-1])]
-        rows.append([prefix[v] - prefix[max(v - c, 0)] for v in range(i + 1)])
-    return binomial(j, k) * demoivre(k, g) * rows[j - k][i - g - c * k]
+        rows.append([prefix[min(v - q + 1, width)] - prefix[max(v - c - q + 1, 0)]
+                     for v in range(q, min(c * q, i) + 1)])
+    return binomial(j, k) * demoivre(k, g) * rows[j - k][i - g - c * k - (j - k)]
 
 
 def c_general(s: int, i: int, j: int, k: int) -> int:
@@ -137,10 +144,13 @@ def c_weight(s: int, m: int, g: int, h: int) -> int:
     heights at once in that case); s >= 1 returns the per-height tableau
     count, identical to c_weight_tableau.  Every s refuses negative g and h.
     """
-    if s == 0 and m < 1:
+    if s != 0:
+        return c_weight_tableau(s, m, g, h)
+    if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    per_height = c_weight_tableau(s, m, g, h)  # at s = 0 only for its index checks
-    return binomial(m - 1, g) if s == 0 else per_height
+    if g < 0 or h < 0:
+        raise ValueError("indices must be nonnegative")
+    return binomial(m - 1, g)
 
 
 def c_dim_enumerated(s: int, i: int, j: int, k: int) -> int:

@@ -170,6 +170,13 @@ def test_asym_refuses_a_negative_digit_count_in_every_mode(capsys, mode):
     assert (code, out, err) == (3, "", "error: asymptotic form needs both digits present\n")
 
 
+@pytest.mark.parametrize("m, tau, expected", [(1900, 3900, 2.8006e226), (2000, 10000, 0.0)])
+def test_asym_point_query_answers_past_the_overflow_of_the_tau_0_value(capsys, m, tau, expected):
+    # at tau = 0 the exponent is (log 2 - 1/2) N, past the float range here
+    env = run_json(capsys, "asym", "--m", str(m), "--n", str(m), "--tau", str(tau))
+    assert env["payload"] == pytest.approx(expected, rel=1e-4)
+
+
 def test_fib_and_kaplansky(capsys):
     assert run_json(capsys, "fib", "--N", "5", "--r", "3", "--h", "0")["payload"] == "20"
     assert run_json(capsys, "kaplansky", "--N", "6", "--n", "2", "--p", "2")["payload"] == "9"
