@@ -6,15 +6,11 @@ is another composition; these coefficients count remainders by dimension
 (number of surviving rows, index k) or by weight (number of surviving
 boxes, index g), with multiplicity over the source compositions.
 
-The k parts longer than c survive with their excess over c, a composition
-of g into k parts, and the other j-k parts hold 1..c boxes each.  So every
-deeper count (`c_general`, and C' at s = 1) sums one term over g, and
-`c_weight_tableau` sums it over k:
-
-    T(s, i, j, k, g) = C(j, k) * M(k, g) * R_c(j-k, i - g - c*k)
-
-with M the composition count and R_c(q, v) the number of compositions of v
-into q parts of size 1..c, tabulated once per (c, total).
+The k parts longer than c keep their excess over c, a composition of g into
+k parts, and the other j-k parts hold 1..c boxes each.  So `c_general` (C'
+at s = 1) sums T(s, i, j, k, g) = C(j, k) * M(k, g) * R_c(j-k, i - g - c*k)
+over g and `c_weight_tableau` sums it over k, with M the composition count
+and R_c(q, v) the compositions of v into q parts of size 1..c.
 
 Two conventions coexist for the corner c(i, i, 0).  The tabulated matrices
 define it as i (each single-column tableau is charged once per cell), while
@@ -79,27 +75,22 @@ def c_coeff_by_recurrence(i: int, j: int, k: int) -> int:
 def _short_part_rows(c: int, top: int) -> list[list[int]]:
     """Rows q = 0, 1, ... of R_c, as far as _term has built them.
 
-    Row q holds R_c(q, v) only on its band q <= v <= min(c q, top), at
-    offset v - q; R_c vanishes off the band.
+    Row q holds R_c(q, v) at offset v - q, for v = q..min(c q, top) where it
+    can be nonzero.  It is a windowed prefix sum of row q-1: R_c(q, v) is the
+    sum of R_c(q-1, u) over v-c <= u < v.
     """
     return [[1]]
 
 
 def _term(s: int, i: int, j: int, k: int, g: int) -> int:
-    """T(s, i, j, k, g); the caller keeps i - g - (s+1) k inside the band of row j-k.
-
-    Row q of R_c is a windowed prefix sum of row q-1: R_c(q, v) is the sum
-    of R_c(q-1, u) over v-c <= u < v.  Each row is built once per (c, i).
-    """
+    """T(s, i, j, k, g); the caller keeps i - g - (s+1) k inside j-k..(s+1)(j-k)."""
     c = s + 1
     rows = _short_part_rows(c, i)
     while len(rows) <= j - k:
-        q = len(rows)
-        width = len(rows[-1])
-        prefix = [0, *accumulate(rows[-1])]
-        rows.append([prefix[min(v - q + 1, width)] - prefix[max(v - c - q + 1, 0)]
-                     for v in range(q, min(c * q, i) + 1)])
-    return binomial(j, k) * demoivre(k, g) * rows[j - k][i - g - c * k - (j - k)]
+        prefix = [0, *accumulate(rows[-1] + [0] * c)]
+        width = min(c * len(rows), i) - len(rows) + 1
+        rows.append([prefix[t] - prefix[max(t - c, 0)] for t in range(1, width + 1)])
+    return binomial(j, k) * demoivre(k, g) * rows[j - k][i - g - s * k - j]
 
 
 def c_general(s: int, i: int, j: int, k: int) -> int:
@@ -121,10 +112,9 @@ def c_general(s: int, i: int, j: int, k: int) -> int:
 def c_weight_tableau(s: int, m: int, g: int, h: int) -> int:
     """Weight-g remainders after deleting s+1 columns from height-h tableaux of m.
 
-    The sum of T(s, m, h, k, g) over k <= min(h, g, (m - g - h) // s); no
-    term is nonzero unless h <= m - g <= (s+1) h.  For s = 0 the remainder
-    weight is forced to m - h, so the count is the full composition count at
-    g = m - h and zero elsewhere.
+    The sum of T(s, m, h, k, g) over k <= min(h, g, (m - g - h) // s), zero
+    unless h <= m - g <= (s+1) h.  For s = 0 the remainder weight is forced
+    to m - h: the count is M(h, m) at g = m - h and zero elsewhere.
     """
     if s < 0:
         raise ValueError(f"need s >= 0, got {s}")
