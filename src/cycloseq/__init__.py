@@ -16,17 +16,14 @@ from .tnumbers import (
     SequenceType,
     t_distribution,
     t_number,
-    t_number_by_recurrence,
     t_sum_over_n,
     type_census,
 )
 from .coeffs import (
     appendix_tables,
     c_coeff,
-    c_coeff_by_recurrence,
     c_general,
     c_weight,
-    pascal_identity_check,
 )
 from .patterncounts import (
     JointDistribution,

@@ -14,21 +14,21 @@ import math
 from fractions import Fraction
 
 from .errors import DegenerateFamily, InvalidTau
-from .exactmath import binomial, exact_div, falling_factorial, stirling2
+from .exactmath import binomial, binomial_products, exact_div, falling_factorial, stirling2
 
 
 def moment_sum(m: int, n: int, r: int) -> int:
-    """Direct evaluation of sum_h h^r C(m,h) C(n,h) over h = 0..min(m,n)."""
+    """sum_h h^r C(m,h) C(n,h) over h = 0..min(m,n), summed along the row of products."""
     if m < 0 or n < 0 or r < 0:
         raise ValueError("arguments must be nonnegative")
-    return sum(h**r * binomial(m, h) * binomial(n, h) for h in range(min(m, n) + 1))
+    return sum(h**r * p for h, p in enumerate(binomial_products(m, n)))
 
 
 def moment_exact(m: int, n: int, r: int) -> int:
     """Exact moment sum, by closed form where one exists.
 
     Closed forms cover r = 0 (Vandermonde), r = 1, r = 2, and r = 3 when
-    m = n; other orders fall back to direct summation.
+    m = n; other orders fall back to moment_sum.
     """
     if m < 0 or n < 0 or r < 0:
         raise ValueError("arguments must be nonnegative")

@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate
 
-from .exactmath import binomial, compositions, demoivre, exact_div
+from .exactmath import binomial, compositions, demoivre
 
 
 def c_tableau(i: int, j: int, k: int) -> int:
@@ -48,27 +48,6 @@ def c_coeff(i: int, j: int, k: int) -> int:
     if i < 1 or j < 0 or k < 0:
         raise ValueError(f"need i >= 1, j >= 0, k >= 0, got ({i}, {j}, {k})")
     return i if i == j and k == 0 else c_tableau(i, j, k)
-
-
-def c_coeff_by_recurrence(i: int, j: int, k: int) -> int:
-    """Same contract as c_coeff (matrix convention), by the ratio recurrence in k.
-
-    Seeded from the closed form at k = 1, where the coefficient is plainly j.
-    """
-    if i < 1 or j < 0 or k < 0:
-        raise ValueError(f"need i >= 1, j >= 0, k >= 0, got ({i}, {j}, {k})")
-    if i == j:
-        return i if k == 0 else 0
-    if k == 0:
-        return 0
-    if j == 0 or k > j or k > i - j:
-        return 0
-    value = j  # k = 1
-    kk = 1
-    while kk < k:
-        value = exact_div(value * (j - kk) * (i - j - kk), kk * (kk + 1))
-        kk += 1
-    return value
 
 
 @lru_cache(maxsize=None)
@@ -97,8 +76,9 @@ def c_general(s: int, i: int, j: int, k: int) -> int:
     """Dimension-k remainders after deleting s+1 columns (tableau counting).
 
     The sum of T(s, i, j, k, g) over the weights g where it can be nonzero,
-    max(k, i - (s+1) j) <= g <= i - s k - j.  s = 0 is c_tableau; s = 1 is
-    the two-deletion coefficient C'.
+    max(k, i - (s+1) j) <= g <= i - s k - j, and g = 0 alone at k = 0, where
+    M(0, g) = 0 for g > 0.  s = 0 is c_tableau; s = 1 is the two-deletion
+    coefficient C'.
     """
     if s < 0:
         raise ValueError(f"need s >= 0, got {s}")
@@ -106,15 +86,17 @@ def c_general(s: int, i: int, j: int, k: int) -> int:
         raise ValueError(f"need i >= 1, j >= 0, k >= 0, got ({i}, {j}, {k})")
     if s == 0:
         return c_tableau(i, j, k)
-    return sum(_term(s, i, j, k, g) for g in range(max(k, i - (s + 1) * j), i - s * k - j + 1))
+    top = i - s * k - j if k else min(i - j, 0)
+    return sum(_term(s, i, j, k, g) for g in range(max(k, i - (s + 1) * j), top + 1))
 
 
 def c_weight_tableau(s: int, m: int, g: int, h: int) -> int:
     """Weight-g remainders after deleting s+1 columns from height-h tableaux of m.
 
-    The sum of T(s, m, h, k, g) over k <= min(h, g, (m - g - h) // s), zero
-    unless h <= m - g <= (s+1) h.  For s = 0 the remainder weight is forced
-    to m - h: the count is M(h, m) at g = m - h and zero elsewhere.
+    The sum of T(s, m, h, k, g) over k <= min(h, g, (m - g - h) // s), from
+    k = 1 when g > 0, where M(0, g) = 0; zero unless h <= m - g <= (s+1) h.
+    For s = 0 the remainder weight is forced to m - h: the count is M(h, m)
+    at g = m - h and zero elsewhere.
     """
     if s < 0:
         raise ValueError(f"need s >= 0, got {s}")
@@ -124,7 +106,7 @@ def c_weight_tableau(s: int, m: int, g: int, h: int) -> int:
         return demoivre(h, m) if g == m - h else 0
     if not h <= m - g <= (s + 1) * h:
         return 0
-    return sum(_term(s, m, h, k, g) for k in range(min(h, g, (m - g - h) // s) + 1))
+    return sum(_term(s, m, h, k, g) for k in range(min(g, 1), min(h, g, (m - g - h) // s) + 1))
 
 
 def c_weight(s: int, m: int, g: int, h: int) -> int:
@@ -217,26 +199,3 @@ def appendix_tables(kind: str, index: int | None = None) -> list[dict]:
         ]
         out.append({"kind": kind, "fixed_index": fixed, "rows": rows})
     return out
-
-
-def pascal_identity_check(k: int, bound: int = 12) -> dict:
-    """Check the two-deletion matrix is the one-deletion matrix times the
-    upper Pascal matrix: C'(i, j, k) = c_general(1, i, j, k)
-    = sum_f c_tableau(i-j, f, k) C(j, f).
-
-    Both sides are taken in tableau convention (the k = 0 corner needs the
-    remainder count, not the matrix diagonal).  Returns per-cell mismatches,
-    expected to be none.
-    """
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    mismatches = []
-    for i in range(1, bound + 1):
-        for j in range(0, i + 1):
-            left = c_general(1, i, j, k)
-            right = sum(
-                c_tableau(i - j, f, k) * binomial(j, f) for f in range(0, j + 1)
-            )
-            if left != right:
-                mismatches.append({"i": i, "j": j, "left": left, "right": right})
-    return {"k": k, "bound": bound, "ok": not mismatches, "mismatches": mismatches}

@@ -1,10 +1,11 @@
 """Arbitrary-precision integer kernel.
 
-Binomials, falling factorials, Stirling numbers of the second kind,
-composition counts (ordered partitions, De Moivre numbers) and
-exact-part partition counts, the one checked exact division, and the
-sequence family (m, n) with its checks.  Everything here is a pure function
-of its arguments and exact at any magnitude; Python ints carry the arithmetic.
+Binomials and the row of binomial products C(m, h) C(n, h), falling
+factorials, Stirling numbers of the second kind, composition counts
+(ordered partitions, De Moivre numbers) and exact-part partition counts,
+the one checked exact division, and the sequence family (m, n) with its
+checks.  Everything here is a pure function of its arguments and exact at
+any magnitude; Python ints carry the arithmetic.
 """
 
 from __future__ import annotations
@@ -41,6 +42,20 @@ def exact_div(num: int, den: int) -> int:
     if r:
         raise InexactDivision("a counting formula left a remainder in an exact division")
     return q
+
+
+def binomial_products(m: int, n: int) -> list[int]:
+    """The row C(m, h) C(n, h) for h = 0..min(m, n).
+
+    Walked by its exact ratio P(h+1) = P(h) (m-h)(n-h) / (h+1)^2, each step
+    a checked exact_div, so no cell needs fresh binomials.
+    """
+    if m < 0 or n < 0:
+        raise ValueError(f"binomial_products needs m, n >= 0, got ({m}, {n})")
+    row = [1]
+    for h in range(min(m, n)):
+        row.append(exact_div(row[-1] * (m - h) * (n - h), (h + 1) ** 2))
+    return row
 
 
 def falling_factorial(x: int, k: int) -> int:

@@ -167,12 +167,3 @@ def pattern_census(m: int, n: int, max_len: int = 4) -> dict[str, dict[int, int]
 def type_census(m: int, n: int) -> dict[SequenceType, int]:
     return tally(sequences(m, n), lambda word: type_signature(word, m + n))
 
-
-def allwords_pattern_distribution(N: int, pattern: str) -> dict[int, int]:
-    _check_cap(N)
-    return tally(range(1 << N), _occurrence_counter(N, pattern))
-
-
-def allwords_jump_distribution(N: int) -> dict[int, int]:
-    _check_cap(N)
-    return tally(range(1 << N), lambda word: jump_count(word, N))

@@ -3,8 +3,9 @@
 A sequence of m zeros and n ones, read cyclically, has an even number tau
 of boundaries between unequal adjacent digits.  The count of sequences with
 a given tau has the closed form (tau/2) * (1/m + 1/n) * C(m, tau/2) * C(n, tau/2);
-this module evaluates it exactly, together with its recurrence form, the
-all-words row sums, and the census of sequences by block-structure type.
+this module evaluates it exactly, one point or a whole distribution from the
+row of binomial products, with the all-words row sums and the census of
+sequences by block-structure type.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidTau
-from .exactmath import SequenceFamily, binomial, exact_div, nondegenerate_family, partitions_exact
+from .exactmath import (
+    SequenceFamily, binomial, binomial_products, exact_div, nondegenerate_family, partitions_exact,
+)
 
 
 @dataclass(frozen=True)
@@ -63,26 +66,13 @@ def t_number(m: int, n: int, tau: int) -> int:
     return exact_div((m + n) * h * binomial(m, h) * binomial(n, h), m * n)
 
 
-def t_number_by_recurrence(m: int, n: int, tau: int) -> int:
-    """Same contract as t_number, via the ratio recurrence seeded at tau = 2."""
-    nondegenerate_family(m, n)
-    h = _check_tau(tau)
-    if h > min(m, n):
-        return 0
-    value = m + n  # tau = 2: the N rotations of 0..01..1
-    t = 2
-    while t < tau:
-        value = exact_div(value * 4 * (m - t // 2) * (n - t // 2), t * (t + 2))
-        t += 2
-    return value
-
-
 def t_distribution(m: int, n: int) -> CountDistribution:
     """Full jump distribution of the family; degenerate families give {0: 1}."""
     family = SequenceFamily(m, n)
     if family.is_degenerate:
         return CountDistribution(family, "tau", {0: 1})
-    entries = {tau: t_number(m, n, tau) for tau in range(2, 2 * min(m, n) + 1, 2)}
+    N, row = m + n, binomial_products(m, n)
+    entries = {2 * h: exact_div(N * h * row[h], m * n) for h in range(1, len(row))}
     return CountDistribution(family, "tau", entries)
 
 

@@ -42,6 +42,19 @@ def test_closed_forms_match_summation(N):
         assert moment_exact(m, n, 0) == binomial(N, m)
 
 
+@pytest.mark.parametrize("r", range(13))
+def test_moment_sum_equals_the_fresh_binomial_sum(r):
+    for m in range(13):
+        for n in range(13):
+            direct = sum(h**r * math.comb(m, h) * math.comb(n, h) for h in range(min(m, n) + 1))
+            assert moment_sum(m, n, r) == direct, (m, n)
+
+
+def test_closed_forms_match_the_row_sum_at_scale():
+    for r in range(3):
+        assert moment_exact(1500, 1450, r) == moment_sum(1500, 1450, r)
+
+
 def test_approx_is_exact_at_low_order():
     for m in range(1, 9):
         assert moment_approx(m, m, 0) == moment_exact(m, m, 0)

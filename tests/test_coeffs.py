@@ -5,17 +5,28 @@ from cycloseq.coeffs import (
     appendix_cell_enumerated,
     appendix_tables,
     c_coeff,
-    c_coeff_by_recurrence,
     c_dim_enumerated,
     c_general,
     c_tableau,
     c_weight,
     c_weight_enumerated,
     c_weight_tableau,
-    pascal_identity_check,
 )
-from cycloseq.exactmath import binomial, demoivre
+from cycloseq.exactmath import binomial, demoivre, exact_div
 from cycloseq.reference_tables import APPENDIX_PUBLISHED, PRINT_DEFECTS
+
+
+def c_coeff_by_recurrence(i, j, k):
+    """Reference route for c_coeff (matrix convention): the ratio recurrence
+    in k, seeded at k = 1, where the coefficient is plainly j."""
+    if i == j:
+        return i if k == 0 else 0
+    if k == 0 or j == 0 or k > j or k > i - j:
+        return 0
+    value = j  # k = 1
+    for kk in range(1, k):
+        value = exact_div(value * (j - kk) * (i - j - kk), kk * (kk + 1))
+    return value
 
 
 def test_c_coeff_examples():
@@ -225,5 +236,10 @@ def test_appendix_cprime_row():
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_pascal_identity(k):
-    report = pascal_identity_check(k, bound=12)
-    assert report["ok"], report["mismatches"]
+    # the two-deletion matrix is the one-deletion matrix times the upper
+    # Pascal matrix, both in tableau convention (the k = 0 corner counts the
+    # empty remainder once)
+    for i in range(1, 13):
+        for j in range(0, i + 1):
+            right = sum(c_tableau(i - j, f, k) * binomial(j, f) for f in range(0, j + 1))
+            assert c_general(1, i, j, k) == right, (i, j)

@@ -1,10 +1,14 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
+from cycloseq import exactmath
 from cycloseq.errors import DomainError, InexactDivision
 from cycloseq.exactmath import (
     SequenceFamily,
     binomial,
+    binomial_products,
     compositions,
     demoivre,
     exact_div,
@@ -120,3 +124,26 @@ def test_exact_div():
     # a remainder is a defect of the engine, never a usage or domain error
     assert issubclass(InexactDivision, ArithmeticError)
     assert not issubclass(InexactDivision, (DomainError, ValueError))
+
+
+def test_binomial_products_walk_the_row():
+    for m in range(31):
+        for n in range(31):
+            assert binomial_products(m, n) == [
+                math.comb(m, h) * math.comb(n, h) for h in range(min(m, n) + 1)
+            ], (m, n)
+    with pytest.raises(ValueError):
+        binomial_products(-1, 3)
+
+
+def test_binomial_products_step_through_the_checked_division(monkeypatch):
+    # each step divides by (h+1)^2 through exact_div, a check python -O keeps
+    dens = []
+
+    def spy(num, den):
+        dens.append(den)
+        return exact_div(num, den)
+
+    monkeypatch.setattr(exactmath, "exact_div", spy)
+    assert binomial_products(9, 6)[-1] == math.comb(9, 6)
+    assert dens == [(h + 1) ** 2 for h in range(6)]

@@ -102,11 +102,11 @@ def test_pattern_census_agrees_with_single_queries():
 
 
 def test_allwords_distributions():
-    jumps = oracle.allwords_jump_distribution(6)
+    jumps = oracle.tally(range(1 << 6), lambda word: oracle.jump_count(word, 6))
     assert sum(jumps.values()) == 64
     for tau, count in jumps.items():
         assert count == 2 * binomial(6, tau)
-    dist = oracle.allwords_pattern_distribution(5, "11")
+    dist = oracle.tally(range(1 << 5), lambda word: oracle.cyclic_occurrences(word, 5, "11"))
     assert sum(dist.values()) == 32
 
 

@@ -3,15 +3,27 @@ from hypothesis import given, strategies as st
 
 from cycloseq import oracle
 from cycloseq.errors import DegenerateFamily, InvalidTau
-from cycloseq.exactmath import binomial, partition_count
+from cycloseq.exactmath import binomial, exact_div, partition_count
 from cycloseq.tnumbers import (
     SequenceType,
     t_distribution,
     t_number,
-    t_number_by_recurrence,
     t_sum_over_n,
     type_census,
 )
+
+
+def t_number_by_recurrence(m, n, tau):
+    """Reference route for t_number at even tau >= 2: the ratio recurrence
+    in tau, seeded at tau = 2."""
+    if tau // 2 > min(m, n):
+        return 0
+    value = m + n  # tau = 2: the N rotations of 0..01..1
+    t = 2
+    while t < tau:
+        value = exact_div(value * 4 * (m - t // 2) * (n - t // 2), t * (t + 2))
+        t += 2
+    return value
 
 
 def test_point_values():
@@ -31,6 +43,28 @@ def test_distributions():
     assert t_distribution(3, 4).entries == {2: 7, 4: 21, 6: 7}
     assert t_distribution(5, 5).entries == {2: 10, 4: 80, 6: 120, 8: 40, 10: 2}
     assert t_distribution(1, 1).entries == {2: 2}
+
+
+@pytest.mark.parametrize("m", range(1, 41))
+def test_distribution_walk_equals_point_queries(m):
+    for n in range(1, 41):
+        assert t_distribution(m, n).entries == {
+            2 * h: t_number(m, n, 2 * h) for h in range(1, min(m, n) + 1)
+        }
+
+
+@pytest.mark.parametrize("m, n", [(1, 3000), (3000, 7), (2000, 2100)])
+def test_distribution_walk_equals_point_queries_at_scale(m, n):
+    dist = t_distribution(m, n)
+    assert dist.entries == {2 * h: t_number(m, n, 2 * h) for h in range(1, min(m, n) + 1)}
+
+
+def test_distribution_row_sum_and_first_moment_at_5000():
+    m = n = 5000
+    N = m + n
+    dist = t_distribution(m, n)
+    assert dist.total == binomial(N, m)
+    assert sum(tau * v for tau, v in dist.entries.items()) == 2 * N * binomial(N - 2, n - 1)
 
 
 def test_degenerate_family():
