@@ -246,7 +246,7 @@ def _run_appendix(args) -> dict:
 
 
 def _run_moments(args) -> dict:
-    exact = analytics.moment_exact(args.m, args.n, args.r)
+    exact = analytics.moment_sum(args.m, args.n, args.r)
     params = {"m": args.m, "n": args.n, "r": args.r, "approx": args.approx}
     if not args.approx:
         return _envelope("moments", params, str(exact), "closed-form")

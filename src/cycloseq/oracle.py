@@ -25,7 +25,11 @@ DEFAULT_CAP = 20
 
 
 def oracle_cap() -> int:
-    return int(os.environ.get("CYCLOSEQ_ORACLE_CAP", str(DEFAULT_CAP)))
+    raw = os.environ.get("CYCLOSEQ_ORACLE_CAP", str(DEFAULT_CAP))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"CYCLOSEQ_ORACLE_CAP must be an integer, got {raw!r}") from None
 
 
 def _check_cap(N: int) -> None:
@@ -80,38 +84,29 @@ def cyclic_occurrences(word: int, N: int, pattern: str) -> int:
     return _occurrence_counter(N, pattern)(word)
 
 
+def _edges(word: int, N: int) -> int:
+    """The word XOR its cyclic rotation: bit i is set where a block ends at position i."""
+    mask = (1 << N) - 1
+    word &= mask
+    return word ^ ((word >> 1 | word << (N - 1)) & mask)
+
+
 def jump_count(word: int, N: int) -> int:
     """Number of cyclic boundaries between unequal adjacent digits."""
-    rotated = ((word >> 1) | (word << (N - 1))) & ((1 << N) - 1)
-    return bin(word ^ rotated).count("1")
+    return _edges(word, N).bit_count()
 
 
 def type_signature(word: int, N: int) -> SequenceType:
     """Descending run-length partitions of the word's zero and one blocks."""
-    word &= (1 << N) - 1
-    ones = bin(word).count("1")
-    if ones == 0 or ones == N:
+    edges = _edges(word, N)
+    if not edges:
         raise ConstantSequence("constant sequences have no two-digit block structure")
-    # rotate so position 0 starts a new block
-    w = word
-    for shift in range(N):
-        if (w & 1) != (w >> (N - 1)) & 1:
-            break
-        w = ((w >> 1) | (w << (N - 1))) & ((1 << N) - 1)
-    runs: list[tuple[int, int]] = []
-    digit = w & 1
-    length = 0
-    for i in range(N):
-        d = (w >> i) & 1
-        if d == digit:
-            length += 1
-        else:
-            runs.append((digit, length))
-            digit, length = d, 1
-    runs.append((digit, length))
-    zero_blocks = tuple(sorted((l for d, l in runs if d == 0), reverse=True))
-    one_blocks = tuple(sorted((l for d, l in runs if d == 1), reverse=True))
-    return SequenceType(zero_blocks, one_blocks)
+    ends = [i for i in range(N) if edges >> i & 1]
+    blocks: tuple[list[int], list[int]] = ([], [])
+    # each block runs from just after the previous end, cyclically, to its own
+    for prev, end in zip(ends[-1:] + ends, ends):
+        blocks[word >> end & 1].append((end - prev) % N)
+    return SequenceType(*(tuple(sorted(b, reverse=True)) for b in blocks))
 
 
 def tally(words: Iterable[int], key: Callable[[int], Hashable]) -> dict:

@@ -11,6 +11,7 @@ sequences by block-structure type.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import InvalidTau
@@ -91,16 +92,10 @@ def t_sum_over_n(N: int, tau: int) -> int:
 def _type_multiplicity(N: int, t: SequenceType) -> int:
     """Sequences carrying a given type: N h! (h-1)! over the block-repetition factorials."""
     h = t.height
-    denom = 1
-    for blocks in (t.zero_blocks, t.one_blocks):
-        count = 1
-        for a, b in zip(blocks, blocks[1:]):
-            if a == b:
-                count += 1
-            else:
-                denom *= math.factorial(count)
-                count = 1
-        denom *= math.factorial(count)
+    denom = math.prod(
+        math.factorial(count)
+        for blocks in (t.zero_blocks, t.one_blocks) for count in Counter(blocks).values()
+    )
     return exact_div(N * math.factorial(h) * math.factorial(h - 1), denom)
 
 

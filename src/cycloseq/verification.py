@@ -119,123 +119,120 @@ def _slip_verdict(
     return f"cells off by more than 0.01: {off}, as cataloged"
 
 
-def typo_ledger(max_n: int = 12) -> list[dict]:
-    """Verdicts on every cataloged inconsistency in the published material."""
-    items: list[dict] = []
+def _judged(item: dict, max_n: int, comparisons, verdict: str, oracle_text: str | None = None):
+    """Complete a ledger item from its (case, closed, oracle) comparisons.
 
-    joint = patterncounts.joint_01_001(4, 4)
-    col = joint.marginal(1)
-    brute = oracle.pattern_distribution(4, 4, "001")
-    items.append({
-        "id": "joint-001-marginal-extra-cell",
-        "location": "marginal row of the (4,4) joint (01;001) table",
-        "published_reading": "2 56 12 9 0 (sums to 79 over a 70-sequence family)",
-        "corrected_reading": "2 56 12 (all later counts vanish)",
-        "oracle": _fmt_dist(brute),
-        "verdict": "published extra cell 9 is spurious"
-        if col == brute and brute.get(3, 0) == 0 else "UNRESOLVED",
-    })
+    The verdict is the confirmed text when every comparison holds, else
+    UNRESOLVED; an oracle text, when given, reads "mismatch" on failure.
+    """
+    ok = _check(item["id"], max_n, comparisons)["ok"]
+    if oracle_text is not None:
+        item["oracle"] = oracle_text if ok else "mismatch"
+    item["verdict"] = verdict if ok else "UNRESOLVED"
+    return item
 
-    corner_ok = True
+
+def _corner_cells(max_n: int):
+    """Aligned corner cells (h, m - h, 0) of the (01;001;0001) joint table."""
     for m in range(2, 9):
-        for n in range(1, 9):
-            if m + n > max_n or m + n < 5:
-                continue
-            brute_joint = oracle.joint_distribution(m, n, ["01", "001", "0001"])
-            closed_joint = patterncounts.triple_01_001_0001(m, n).entries
+        for n in range(max(1, 5 - m), min(8, max_n - m) + 1):
+            closed = patterncounts.triple_01_001_0001(m, n).entries
+            brute = oracle.joint_distribution(m, n, ["01", "001", "0001"])
             for h in range((m + 1) // 2, min(m, n) + 1):
                 key = (h, m - h, 0)
-                if closed_joint.get(key, 0) != brute_joint.get(key, 0):
-                    corner_ok = False
-    items.append({
-        "id": "triple-corner-binomial-sign",
-        "location": "aligned corner of the (01;001;0001) joint formula",
-        "published_reading": "binomial argument n - m - h (negative whenever it matters)",
-        "corrected_reading": "binomial argument n - m + h",
-        "oracle": "corner cells match enumeration with the + sign" if corner_ok else "mismatch",
-        "verdict": "sign corrected" if corner_ok else "UNRESOLVED",
-    })
+                yield {"m": m, "n": n, "cell": list(key)}, closed.get(key, 0), brute.get(key, 0)
 
-    chain_ok = True
-    for N in range(5, min(max_n, 10) + 1):
-        for m in range(1, N):
-            n = N - m
-            for pattern in ("0001", "00001"):
-                if len(pattern) >= N:
-                    continue
-                brute_d = oracle.pattern_distribution(m, n, pattern)
-                for ell in range(0, max(brute_d) + 1):
-                    if patterncounts.count_pattern(m, n, pattern, ell) != brute_d.get(ell, 0):
-                        chain_ok = False
-    items.append({
-        "id": "deletion-chain-direction",
-        "location": "index chains in the multi-deletion occurrence formula",
-        "published_reading": "chain written ascending toward the (01) count",
-        "corrected_reading": "the (01) count bounds the chain from above, descending to the innermost index",
-        "oracle": "descending-chain implementation matches enumeration" if chain_ok else "mismatch",
-        "verdict": "descending order confirmed" if chain_ok else "UNRESOLVED",
-    })
 
-    def _nonzero(d: dict[int, int]) -> dict[int, int]:
-        return {k: v for k, v in d.items() if v}
+def _deletion_counts(max_n: int):
+    """Every occurrence count of 0001 and 00001 on the families with N <= min(max_n, 10)."""
+    for m, n in _families(min(max_n, 10)):
+        for pattern in ("0001", "00001"):
+            if len(pattern) < m + n:
+                brute = oracle.pattern_distribution(m, n, pattern)
+                for h in range(max(brute) + 1):
+                    yield ({"m": m, "n": n, "pattern": pattern, "h": h},
+                           patterncounts.count_pattern(m, n, pattern, h), brute.get(h, 0))
 
-    pref_ok = all(
-        _nonzero(patterncounts.pattern_distribution(m, n, "001").entries)
-        == _nonzero(oracle.pattern_distribution(m, n, "001"))
-        for m, n in ((4, 4), (5, 3), (6, 3), (3, 6))
-    )
-    items.append({
-        "id": "marginal-001-prefactor",
-        "location": "first display of the (001) marginal formula",
-        "published_reading": "a 1/h prefactor left outside the sum over h",
-        "corrected_reading": "per-term weight N/h, equivalently (N/n) C(n,h) inside the sum",
-        "oracle": "canonical form matches enumeration" if pref_ok else "mismatch",
-        "verdict": "prefactor canonicalized" if pref_ok else "UNRESOLVED",
-    })
 
-    run_pair_ok = True
-    for m in range(1, 7):
-        for n in range(1, 7):
-            if m + n < 3:
-                continue
-            d00 = oracle.pattern_distribution(m, n, "00")
-            d11 = oracle.pattern_distribution(n, m, "11")
-            if d00 != d11:
-                run_pair_ok = False
-    items.append({
-        "id": "run-pair-identity",
-        "location": "claimed pointwise equality of the (00) and (11) counts",
-        "published_reading": "same-family counts equal (with a stray binomial argument m - h)",
-        "corrected_reading": "equality holds across digit swap: (00) on (m,n) matches (11) on (n,m)",
-        "oracle": "swap identity verified by enumeration" if run_pair_ok else "mismatch",
-        "verdict": "identity holds under digit swap only" if run_pair_ok else "UNRESOLVED",
-    })
+def _nonzero(d: dict[int, int]) -> dict[int, int]:
+    return {k: v for k, v in d.items() if v}
+
+
+def typo_ledger(max_n: int = 12) -> list[dict]:
+    """Verdicts on every cataloged inconsistency in the published material."""
+    marginal = patterncounts.joint_01_001(4, 4).marginal(1)
+    brute = oracle.pattern_distribution(4, 4, "001")
+    items = [
+        _judged({
+            "id": "joint-001-marginal-extra-cell",
+            "location": "marginal row of the (4,4) joint (01;001) table",
+            "published_reading": "2 56 12 9 0 (sums to 79 over a 70-sequence family)",
+            "corrected_reading": "2 56 12 (all later counts vanish)",
+            "oracle": _fmt_dist(brute),
+        }, max_n, [({"m": 4, "n": 4}, marginal, brute), ({"m": 4, "n": 4, "h": 3}, 0, brute.get(3, 0))],
+            "published extra cell 9 is spurious"),
+        _judged({
+            "id": "triple-corner-binomial-sign",
+            "location": "aligned corner of the (01;001;0001) joint formula",
+            "published_reading": "binomial argument n - m - h (negative whenever it matters)",
+            "corrected_reading": "binomial argument n - m + h",
+        }, max_n, _corner_cells(max_n), "sign corrected",
+            "corner cells match enumeration with the + sign"),
+        _judged({
+            "id": "deletion-chain-direction",
+            "location": "index chains in the multi-deletion occurrence formula",
+            "published_reading": "chain written ascending toward the (01) count",
+            "corrected_reading": "the (01) count bounds the chain from above, "
+                                 "descending to the innermost index",
+        }, max_n, _deletion_counts(max_n), "descending order confirmed",
+            "restricted-composition closed form matches enumeration for 0001 and 00001; "
+            "tests/test_coeffs.py checks that form against the descending chain"),
+        _judged({
+            "id": "marginal-001-prefactor",
+            "location": "first display of the (001) marginal formula",
+            "published_reading": "a 1/h prefactor left outside the sum over h",
+            "corrected_reading": "per-term weight N/h, equivalently (N/n) C(n,h) inside the sum",
+        }, max_n, (
+            ({"m": m, "n": n}, _nonzero(patterncounts.pattern_distribution(m, n, "001").entries),
+             _nonzero(oracle.pattern_distribution(m, n, "001")))
+            for m, n in ((4, 4), (5, 3), (6, 3), (3, 6))
+        ), "prefactor canonicalized", "canonical form matches enumeration"),
+        _judged({
+            "id": "run-pair-identity",
+            "location": "claimed pointwise equality of the (00) and (11) counts",
+            "published_reading": "same-family counts equal (with a stray binomial argument m - h)",
+            "corrected_reading": "equality holds across digit swap: "
+                                 "(00) on (m,n) matches (11) on (n,m)",
+        }, max_n, (
+            ({"m": m, "n": n}, oracle.pattern_distribution(m, n, "00"),
+             oracle.pattern_distribution(n, m, "11"))
+            for m in range(1, 7) for n in range(1, 7) if m + n >= 3
+        ), "identity holds under digit swap only", "swap identity verified by enumeration"),
+    ]
 
     for defect in PRINT_DEFECTS:
         kind, fixed, (row, col) = defect["kind"], defect["fixed_index"], defect["cell"]
-        formula = coeffs.appendix_cell(kind, fixed, row, col)
         enumerated = coeffs.appendix_cell_enumerated(kind, fixed, row, col)
-        items.append({
+        cell = {"kind": kind, "fixed_index": fixed, "cell": [row, col]}
+        items.append(_judged({
             "id": f"matrix-cell-{kind}-{fixed}-{row}-{col}",
             "location": f"{kind} matrix, fixed index {fixed}, cell ({row}, {col})",
             "published_reading": str(defect["published"]),
             "corrected_reading": str(defect["corrected"]),
             "oracle": str(enumerated),
-            "verdict": "published cell corrected"
-            if formula == enumerated == defect["corrected"] else "UNRESOLVED",
-        })
+        }, max_n, [(cell, coeffs.appendix_cell(kind, fixed, row, col), enumerated),
+                   (cell, defect["corrected"], enumerated)], "published cell corrected"))
 
     k0 = {(i, j): coeffs.c_general(1, i, j, 0) for i in range(1, 13) for j in range(1, 12)}
-    k0_ok = all(v == coeffs.c_dim_enumerated(1, i, j, 0) for (i, j), v in k0.items())
-    omitted = [((i, j), v) for (i, j), v in k0.items() if v and j != i - 1]
-    items.append({
+    omitted = sum(1 for (i, j), v in k0.items() if v and j != i - 1)
+    items.append(_judged({
         "id": "cprime-k0-matrix-omissions",
         "location": "two-deletion matrix at dimension index 0",
         "published_reading": "only the first subdiagonal is printed",
-        "corrected_reading": f"{len(omitted)} further nonzero cells from the closed form",
-        "oracle": "closed form matches column-deletion enumeration" if k0_ok else "mismatch",
-        "verdict": "published matrix incomplete" if k0_ok else "UNRESOLVED",
-    })
+        "corrected_reading": f"{omitted} further nonzero cells from the closed form",
+    }, max_n, (
+        ({"i": i, "j": j}, v, coeffs.c_dim_enumerated(1, i, j, 0)) for (i, j), v in k0.items()
+    ), "published matrix incomplete", "closed form matches column-deletion enumeration"))
 
     scale = comb(10, 5)
     live = {tau: analytics.binomial_jump_pmf(5, 5, tau) * scale for tau in BINOMIAL_ROW_PUBLISHED}

@@ -204,8 +204,8 @@ def test_criterion_07_moment_identities_and_pairs(capsys):
             m**3 * (m + 1) * binomial(2 * m, m)
         )
         for n in range(1, 11):
-            assert analytics.moment_exact(m, n, 1) == analytics.moment_sum(m, n, 1)
-            assert analytics.moment_exact(m, n, 2) == analytics.moment_sum(m, n, 2)
+            assert analytics.moment_exact(m, n, 1) == n * binomial(m + n - 1, m - 1)
+            assert analytics.moment_exact(m, n, 2) == m * n * binomial(m + n - 2, m - 1)
     exact, approx = {}, {}
     for (m, n, r), (divisor, _, _) in MOMENT_PAIRS_PUBLISHED.items():
         exact[(m, n, r)] = analytics.moment_sum(m, n, r) / divisor

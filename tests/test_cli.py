@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -136,6 +137,20 @@ def test_negative_digit_count_exit_2(capsys):
                          "--via", "oracle", "--format", "json")
     assert (code, out) == (3, "")
     assert "pattern must be" in err
+
+
+def test_bad_oracle_cap_names_its_variable(capsys, monkeypatch):
+    monkeypatch.setenv("CYCLOSEQ_ORACLE_CAP", "abc")
+    assert run(capsys, "dist", "--m", "3", "--n", "3", "--pattern", "001", "--via", "oracle") == (
+        2, "", "usage error: CYCLOSEQ_ORACLE_CAP must be an integer, got 'abc'\n")
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, so no check in the package may be one
+    for path in sorted(Path(cycloseq.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert at lines {lines}"
 
 
 def test_exactness_checks_survive_python_O():

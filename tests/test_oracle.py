@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import groupby, product
 
 import pytest
 
@@ -89,6 +89,24 @@ def test_type_signatures():
         oracle.type_signature(0, 5)
     with pytest.raises(ConstantSequence):
         oracle.type_signature(31, 5)
+
+
+def _string_run_scan(bits: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    # start the string at a block boundary, then read off its runs
+    start = next(i for i in range(len(bits)) if bits[i] != bits[i - 1])
+    runs = [(digit, len(list(run))) for digit, run in groupby(bits[start:] + bits[:start])]
+    return tuple(
+        tuple(sorted((length for d, length in runs if d == digit), reverse=True))
+        for digit in "01"
+    )
+
+
+def test_type_signature_matches_a_string_run_scan():
+    for N in range(2, 11):
+        for w in range(1, (1 << N) - 1):
+            bits = "".join(str((w >> i) & 1) for i in range(N))
+            t = oracle.type_signature(w, N)
+            assert (t.zero_blocks, t.one_blocks) == _string_run_scan(bits), bits
 
 
 def test_pattern_census_agrees_with_single_queries():

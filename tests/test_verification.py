@@ -1,10 +1,49 @@
+from dataclasses import replace
+
 import pytest
 
-from cycloseq import coeffs, verification
+from cycloseq import coeffs, oracle, patterncounts, verification
 
 
-def _ledger_item(item_id: str) -> dict:
-    return next(item for item in verification.typo_ledger(max_n=4) if item["id"] == item_id)
+def _ledger_item(item_id: str, max_n: int = 4) -> dict:
+    return next(item for item in verification.typo_ledger(max_n) if item["id"] == item_id)
+
+
+def _off_by_one(entries: dict, key) -> dict:
+    return {**entries, key: entries.get(key, 0) + 1}
+
+
+def _bump(real, args: tuple, key=None):
+    """real with one cell off by one on the given arguments: the value itself, or its cell key."""
+    def patched(*a):
+        out = real(*a)
+        if a != args:
+            return out
+        if key is None:
+            return out + 1
+        if isinstance(out, dict):
+            return _off_by_one(out, key)
+        return replace(out, entries=_off_by_one(out.entries, key))
+    return patched
+
+
+@pytest.mark.parametrize("item_id, module, name, args, key", [
+    ("joint-001-marginal-extra-cell", patterncounts, "joint_01_001", (4, 4), (1, 0)),
+    ("triple-corner-binomial-sign", patterncounts, "triple_01_001_0001", (3, 2), (2, 1, 0)),
+    ("deletion-chain-direction", patterncounts, "count_pattern", (3, 2, "0001", 1), None),
+    ("marginal-001-prefactor", patterncounts, "pattern_distribution", (5, 3, "001"), 1),
+    ("run-pair-identity", oracle, "pattern_distribution", (3, 2, "11"), 1),
+])
+def test_oracle_backed_ledger_items_can_fail(monkeypatch, item_id, module, name, args, key):
+    # one cell off by one on a checked side leaves the item unresolved
+    confirmed = _ledger_item(item_id, max_n=6)
+    assert confirmed["verdict"] != "UNRESOLVED"
+    monkeypatch.setattr(module, name, _bump(getattr(module, name), args, key))
+    item = _ledger_item(item_id, max_n=6)
+    assert item["verdict"] == "UNRESOLVED"
+    # the joint item's oracle field is the enumerated distribution, which no bump touches
+    expected = confirmed["oracle"] if item_id == "joint-001-marginal-extra-cell" else "mismatch"
+    assert item["oracle"] == expected
 
 
 @pytest.mark.parametrize("mutation", [lambda v: v + 1, lambda v: 0])
