@@ -3,8 +3,7 @@
 Sequences are fixed-width bit words (bit i = digit at position i); cyclic
 windows are extracted by doubling the word and masking.  Enumeration of a
 family visits its one-position combinations in the fixed order of
-`itertools.combinations`, so chunked runs over rank ranges merge to exactly
-the sequential tally.
+`itertools.combinations`.
 The default size cap N <= 20 keeps words within a machine word and runtimes
 bounded; CYCLOSEQ_ORACLE_CAP overrides it.
 """
@@ -13,7 +12,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .errors import CapExceeded, ConstantSequence, UnsupportedPattern
@@ -40,18 +39,12 @@ def _check_cap(N: int) -> None:
         raise ValueError(f"need N >= 1, got {N}")
 
 
-def sequences_slice(m: int, n: int, lo: int, hi: int) -> Iterator[int]:
-    """Words of the family whose ranks in enumeration order lie in [lo, hi)."""
-    N = m + n
-    _check_cap(N)
-    SequenceFamily(m, n)  # refuses negative digit counts, not constant families
-    lo = max(lo, 0)
-    yield from map(sum, islice(combinations([1 << p for p in range(N)], n), lo, max(lo, hi)))
-
-
 def sequences(m: int, n: int) -> Iterator[int]:
     """All words with m zeros and n ones, in enumeration order."""
-    yield from sequences_slice(m, n, 0, SequenceFamily(m, n).size())
+    SequenceFamily(m, n)  # refuses negative digit counts, not constant families
+    N = m + n
+    _check_cap(N)
+    yield from map(sum, combinations([1 << p for p in range(N)], n))
 
 
 def _occurrence_counter(N: int, pattern: str) -> Callable[[int], int]:

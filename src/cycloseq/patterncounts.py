@@ -2,29 +2,31 @@
 
 A pattern U of length L occurs at position i of a sequence when the L
 cyclically consecutive digits starting there spell U; every sequence exposes
-exactly N windows, wraparound included.  Closed forms are shipped for four
-shapes: a single digit, a run 0^r, a run of zeros closed by a one (0^r 1 and
-its reversal 1 0^r, r >= 1), and 101.  The digit swap of a solved shape is
+exactly N windows, wraparound included.  Closed forms are shipped for three
+shapes: a run 0^r (r >= 1, the single digit included), 0^r 1 with its
+reversal 1 0^r (r >= 1), and 101.  The digit swap of a solved shape is
 solved too, by swapping the roles of m and n.  Together they cover every
 pattern of length at most three.  Everything else raises UnsupportedPattern
 and is left to the brute-force oracle.
 
-The counts of runs, of 0^r 1 (r >= 2) and of 101 are one height sum,
-`_over_heights`: (N/n) times the sum over the number h of blocks of ones of
-C(n, h) times the compositions of the m zeros into h parts that give the
-wanted occurrences.  The joint tables (`_joint`) keep its terms apart.  A
-single digit is counted directly and 01 by the jump numbers.
+The counts of runs and of 0^r 1 are one deletion coefficient each.  Cutting
+a cyclic word after each of its n ones, from a marked one on, gives a
+composition of N into n parts and a start among N positions; the pairs
+(word, marked one) and (composition, start) match one to one, so the words
+number N/n times the compositions.  A part longer than r holds one 0^r 1 and part - r runs 0^r: the
+dimension and the weight left after deleting r columns.  The count of 101
+(parts equal to 2) sums over the number h of blocks of ones instead, and the
+joint tables (`_joint`) keep the terms of that sum apart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .errors import UnsupportedPattern
 from .exactmath import SequenceFamily, binomial, demoivre, exact_div, nondegenerate_family
 from .coeffs import c_general, c_tableau, c_weight_tableau
-from .tnumbers import CountDistribution, t_number
+from .tnumbers import CountDistribution
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,6 @@ def flip(pattern: str) -> str:
 def _shape_count(pattern: str):
     """Count function (m, n, h) of a solved shape as written, or None."""
     r = len(pattern) - 1
-    if pattern == "0":
-        return lambda m, n, h: binomial(m + n, m) if h == m else 0
     if pattern == "0" * (r + 1):
         return lambda m, n, h: _count_zero_run(m, n, r + 1, h)
     if r >= 1 and pattern in ("0" * r + "1", "1" + "0" * r):
@@ -87,36 +87,27 @@ def is_solved_pattern(pattern: str) -> bool:
     return _solved_count(parse_pattern(pattern)) is not None
 
 
-def _over_heights(m: int, n: int, least: int, tableaux: Callable[[int], int]) -> int:
-    """(N/n) sum over h = max(least, 1)..min(m, n) of C(n, h) * tableaux(h).
-
-    The counting step behind the closed forms: a sequence with h blocks of
-    ones pairs one of the compositions of its m zeros into h parts, counted
-    by tableaux(h), with a composition of its n ones into h parts, and
-    (N/n) C(n, h) = (N/h) M(h, n) counts those pairs on the N-cycle.
-    Heights below least contribute nothing and are not evaluated.
-    """
-    total = sum(binomial(n, h) * tableaux(h) for h in range(max(least, 1), min(m, n) + 1))
-    return exact_div((m + n) * total, n)
-
-
-# Each block of zeros carries at most one occurrence of 0^r 1 and of 101,
-# so ell occurrences need at least ell blocks.
 def _count_zeros_then_one(m: int, n: int, r: int, ell: int) -> int:
     """Sequences with exactly ell occurrences of the string 0^r 1."""
-    if r == 1:
-        return t_number(m, n, 2 * ell) if ell >= 1 else 0
-    return _over_heights(m, n, ell, lambda h: c_general(r - 2, m, h, ell))
+    return exact_div((m + n) * c_general(r - 1, m + n, n, ell), n)
 
 
 def _count_zero_run(m: int, n: int, r: int, g: int) -> int:
-    """Sequences with exactly g occurrences of the run 0^r (r >= 2)."""
-    return _over_heights(m, n, 1, lambda h: c_weight_tableau(r - 2, m, g, h))
+    """Sequences with exactly g occurrences of the run 0^r."""
+    return exact_div((m + n) * c_weight_tableau(r - 1, m + n, g, n), n)
 
 
 def _count_101(m: int, n: int, ell: int) -> int:
-    """Sequences with exactly ell occurrences of 101."""
-    return _over_heights(m, n, ell, lambda h: c_tableau(m, h, h - ell))
+    """Sequences with exactly ell occurrences of 101.
+
+    A sequence with h blocks of ones pairs a composition of its m zeros into
+    h parts with a composition of its n ones into h parts, and (N/n) C(n, h)
+    counts those pairs on the N-cycle.  Each block of zeros carries at most
+    one 101, so heights below ell contribute nothing.
+    """
+    heights = range(max(ell, 1), min(m, n) + 1)
+    total = sum(binomial(n, h) * c_tableau(m, h, h - ell) for h in heights)
+    return exact_div((m + n) * total, n)
 
 
 def _resolve(m: int, n: int, pattern: str):
@@ -162,7 +153,7 @@ def pattern_distribution(m: int, n: int, pattern: str) -> CountDistribution:
 
 
 def _joint(m: int, n: int, patterns: tuple[str, ...], cells) -> JointDistribution:
-    """Joint table of the patterns, 01 first, split by the heights of _over_heights.
+    """Joint table of the patterns, 01 first, split by the heights of `_count_101`.
 
     cells(h) yields (rest, tableaux) pairs: the other patterns' occurrence
     counts and the zero compositions into h parts that give them.  Each

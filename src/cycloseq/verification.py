@@ -122,13 +122,21 @@ def _slip_verdict(
 def _judged(item: dict, max_n: int, comparisons, verdict: str, oracle_text: str | None = None):
     """Complete a ledger item from its (case, closed, oracle) comparisons.
 
-    The verdict is the confirmed text when every comparison holds, else
-    UNRESOLVED; an oracle text, when given, reads "mismatch" on failure.
+    The verdict is the confirmed text when at least one comparison ran and
+    every one holds.  A failing item reads UNRESOLVED and lists its failing
+    cases; an item whose size bound admits no case reads UNCHECKED.  An
+    oracle text, when given, reads "mismatch" or "not run" in those cases.
     """
-    ok = _check(item["id"], max_n, comparisons)["ok"]
+    check = _check(item["id"], max_n, comparisons)
+    if not check["ok"]:
+        verdict, oracle_text = "UNRESOLVED", oracle_text and "mismatch"
+    elif not check["cases"]:
+        verdict, oracle_text = f"UNCHECKED: no case with N <= {max_n}", oracle_text and "not run"
     if oracle_text is not None:
-        item["oracle"] = oracle_text if ok else "mismatch"
-    item["verdict"] = verdict if ok else "UNRESOLVED"
+        item["oracle"] = oracle_text
+    item["verdict"] = verdict
+    if check["failures"]:
+        item["failures"] = check["failures"]
     return item
 
 

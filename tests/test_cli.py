@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import cycloseq
-from cycloseq import patterncounts, tnumbers
+from cycloseq import patterncounts, tnumbers, verification
 from cycloseq.cli import main
 
 SRC = str(Path(cycloseq.__file__).resolve().parent.parent)
@@ -173,6 +173,34 @@ def test_exactness_checks_survive_python_O():
     assert json.loads(verify.stdout)["payload"]["all_equivalent"] is True
 
 
+TRACE_BOOT = Path(__file__).resolve().parents[1] / "perfbench" / "trace_boot.py"
+
+
+def _traced(tmp_path, *argv):
+    # the benchmark's traced mode wraps the layers' public functions by name,
+    # so renaming or removing one it reads breaks its per-layer metrics
+    summary = tmp_path / "summary.json"
+    proc = subprocess.run(
+        [sys.executable, str(TRACE_BOOT), str(summary), *argv, "--format", "json"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(summary.read_text())
+
+
+def test_traced_mode_counts_oracle_words(tmp_path):
+    summary = _traced(tmp_path, "dist", "--m", "6", "--n", "6", "--pattern", "0110",
+                      "--via", "oracle")
+    assert summary["words"] == 924
+
+
+def test_traced_mode_counts_verify_cases(tmp_path):
+    summary = _traced(tmp_path, "verify", "--max-N", "6")
+    cases = sum(check["cases"] for check in verification.run_equivalence_suite(6))
+    assert summary["cases"] == cases
+    assert summary["entries"] > 0
+
+
 def test_asym_distribution_mode(capsys):
     env = run_json(capsys, "asym", "--m", "5", "--n", "5")
     assert set(env["payload"]) == {"2", "4", "6", "8", "10", "12"}
@@ -327,6 +355,31 @@ def test_verify_small(capsys):
     assert "marginal-001-prefactor" in ids
     code, out, _ = run(capsys, "verify", "--max-N", "6")
     assert code == 0 and "typo ledger:" in out
+
+
+def test_verify_does_not_confirm_ledger_items_it_did_not_check(capsys):
+    # both items compare families with N >= 5, so a bound of 4 runs none of
+    # their cases and must not print their confirmed verdicts
+    report = run_json(capsys, "verify", "--max-N", "4")["payload"]
+    ledger = {item["id"]: item for item in report["typo_ledger"]}
+    for item_id in ("triple-corner-binomial-sign", "deletion-chain-direction"):
+        assert ledger[item_id]["verdict"] == "UNCHECKED: no case with N <= 4", item_id
+        assert ledger[item_id]["oracle"] == "not run", item_id
+    assert not any("failures" in item for item in report["typo_ledger"])
+    code, out, _ = run(capsys, "verify", "--max-N", "4")
+    assert code == 0
+    assert "  triple-corner-binomial-sign: UNCHECKED: no case with N <= 4\n" in out
+
+
+def test_verify_confirms_bounded_ledger_items_from_n5(capsys):
+    report = run_json(capsys, "verify", "--max-N", "5")["payload"]
+    ledger = {item["id"]: item for item in report["typo_ledger"]}
+    assert ledger["triple-corner-binomial-sign"]["verdict"] == "sign corrected"
+    assert ledger["triple-corner-binomial-sign"]["oracle"] == (
+        "corner cells match enumeration with the + sign")
+    assert ledger["deletion-chain-direction"]["verdict"] == "descending order confirmed"
+    assert ledger["deletion-chain-direction"]["oracle"].startswith(
+        "restricted-composition closed form matches enumeration")
 
 
 def _bump_count_pattern(real):

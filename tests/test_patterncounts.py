@@ -1,10 +1,12 @@
+import functools
 import itertools
 
 import pytest
 
 from cycloseq import oracle
+from cycloseq.coeffs import c_general, c_weight_tableau
 from cycloseq.errors import DegenerateFamily, UnsupportedPattern
-from cycloseq.exactmath import binomial
+from cycloseq.exactmath import binomial, exact_div
 from cycloseq.patterncounts import (
     all_sequences_001,
     count_pattern,
@@ -156,7 +158,8 @@ DEEP_ZEROS_THEN_ONE = ["0" * 100 + "1", "1" + "0" * 100, "1" * 100 + "0", "0" + 
 
 
 @pytest.mark.parametrize("m, n, patterns", [
-    (60, 60, SOLVED_UP_TO_10), (37, 83, SOLVED_UP_TO_10), (300, 300, DEEP_ZEROS_THEN_ONE),
+    (60, 60, SOLVED_UP_TO_10), (37, 83, SOLVED_UP_TO_10),
+    (300, 300, SOLVED_UP_TO_10 + DEEP_ZEROS_THEN_ONE),
 ])
 def test_closed_forms_meet_exact_identities_far_beyond_the_oracle_cap(m, n, patterns):
     # an independent exact check where enumeration cannot reach: the counts
@@ -169,6 +172,57 @@ def test_closed_forms_meet_exact_identities_far_beyond_the_oracle_cap(m, n, patt
         L, w = len(pattern), pattern.count("1")
         assert sum(entries.values()) == binomial(N, n), pattern
         assert sum(h * v for h, v in entries.items()) == N * binomial(N - L, n - w), pattern
+
+
+@functools.lru_cache(maxsize=None)
+def _by_heights(m, n, shape, r):
+    """Counts of 0^r (shape "run") or 0^r 1 (shape "then1") by a height sum.
+
+    A sequence with h blocks of ones pairs a composition of its m zeros into h
+    parts with one of its n ones into h parts, and (N/n) C(n, h) counts those
+    pairs on the N-cycle; deleting r - 1 columns from the zero parts leaves
+    the occurrences as weight (runs) or dimension (0^r 1).  r = 1 is the single
+    digit, C(N, n) sequences with m zeros, and 01, the jump numbers.
+    """
+    N = m + n
+    if r == 1:
+        if shape == "run":
+            return {m: binomial(N, n)}
+        return {ell: t_number(m, n, 2 * ell) for ell in range(1, min(m, n) + 1)}
+    coefficient = c_weight_tableau if shape == "run" else (
+        lambda s, i, ell, h: c_general(s, i, h, ell))
+    counts = {}
+    for x in range(N + 1):
+        total = sum(binomial(n, h) * coefficient(r - 2, m, x, h) for h in range(1, min(m, n) + 1))
+        if total:
+            counts[x] = exact_div(N * total, n)
+    return counts
+
+
+def _zero_shape(pattern):
+    """(shape, r, swapped) of a run or of 0^r 1 or 1 0^r, or of a digit swap of one."""
+    for swapped, image in enumerate((pattern, flip(pattern))):
+        r = image.count("0")
+        if image == "0" * r:
+            return "run", r, swapped
+        if r and image in ("0" * r + "1", "1" + "0" * r):
+            return "then1", r, swapped
+    return None
+
+
+ZERO_SHAPES_UP_TO_8 = [p for p in SOLVED_UP_TO_10 if len(p) <= 8 and _zero_shape(p)]
+
+
+@pytest.mark.parametrize("m, n", [(60, 60), (37, 83), (150, 150)])
+def test_one_coefficient_equals_the_height_sum(m, n):
+    # the closed forms take one deletion coefficient of the compositions of all
+    # N digits into n parts; the height sum splits the same count by the
+    # number of blocks of ones and deletes columns from the zeros alone
+    for pattern in ZERO_SHAPES_UP_TO_8:
+        shape, r, swapped = _zero_shape(pattern)
+        expected = _by_heights(*((n, m) if swapped else (m, n)), shape, r)
+        closed = pattern_distribution(m, n, pattern).entries
+        assert {h: v for h, v in closed.items() if v} == expected, pattern
 
 
 def test_pattern_longer_than_cycle():

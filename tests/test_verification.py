@@ -27,6 +27,16 @@ def _bump(real, args: tuple, key=None):
     return patched
 
 
+# the one case each bump below breaks
+FAILING_CASE = {
+    "joint-001-marginal-extra-cell": {"m": 4, "n": 4},
+    "triple-corner-binomial-sign": {"m": 3, "n": 2, "cell": [2, 1, 0]},
+    "deletion-chain-direction": {"m": 3, "n": 2, "pattern": "0001", "h": 1},
+    "marginal-001-prefactor": {"m": 5, "n": 3},
+    "run-pair-identity": {"m": 2, "n": 3},
+}
+
+
 @pytest.mark.parametrize("item_id, module, name, args, key", [
     ("joint-001-marginal-extra-cell", patterncounts, "joint_01_001", (4, 4), (1, 0)),
     ("triple-corner-binomial-sign", patterncounts, "triple_01_001_0001", (3, 2), (2, 1, 0)),
@@ -35,15 +45,20 @@ def _bump(real, args: tuple, key=None):
     ("run-pair-identity", oracle, "pattern_distribution", (3, 2, "11"), 1),
 ])
 def test_oracle_backed_ledger_items_can_fail(monkeypatch, item_id, module, name, args, key):
-    # one cell off by one on a checked side leaves the item unresolved
+    # one cell off by one on a checked side leaves the item unresolved, and
+    # the item lists that case and no other
     confirmed = _ledger_item(item_id, max_n=6)
     assert confirmed["verdict"] != "UNRESOLVED"
+    assert "failures" not in confirmed
     monkeypatch.setattr(module, name, _bump(getattr(module, name), args, key))
     item = _ledger_item(item_id, max_n=6)
     assert item["verdict"] == "UNRESOLVED"
     # the joint item's oracle field is the enumerated distribution, which no bump touches
     expected = confirmed["oracle"] if item_id == "joint-001-marginal-extra-cell" else "mismatch"
     assert item["oracle"] == expected
+    case = FAILING_CASE[item_id]
+    assert [{k: f[k] for k in case} for f in item["failures"]] == [case]
+    assert all(f["closed"] != f["oracle"] for f in item["failures"])
 
 
 @pytest.mark.parametrize("mutation", [lambda v: v + 1, lambda v: 0])
