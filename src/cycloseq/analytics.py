@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DegenerateFamily, InvalidTau
+from .errors import DegenerateFamily, InvalidTau, within_double_range
 from .exactmath import binomial, binomial_products, falling_factorial, stirling2
 
 
@@ -104,13 +104,16 @@ def t_asymptotic(m: int, n: int, tau: float) -> float:
     """
     if m < 1 or n < 1:
         raise DegenerateFamily("asymptotic form needs both digits present")
+    if tau == 0:
+        return 0.0  # even where the Gaussian factor alone leaves the double range
     N = m + n
     mu = m * n / N
     a = math.log(2.0) - 0.5
-    return (
-        tau
+    return within_double_range(
+        lambda: tau
         * math.exp(-tau * tau / (2 * mu) + 2 * tau + a * N)
-        / (math.pi * mu**1.5 * math.sqrt(N))
+        / (math.pi * mu**1.5 * math.sqrt(N)),
+        f"the asymptotic jump count at ({m}, {n}, {tau})",
     )
 
 

@@ -5,6 +5,8 @@ code 2.  InexactDivision marks a defect in the engine itself, not in the
 query, so the CLI lets it end in a traceback.
 """
 
+import math
+
 
 class DomainError(Exception):
     """Base class for errors in the mathematical domain of a query."""
@@ -32,6 +34,21 @@ class ConstantSequence(DomainError):
 
 class InvalidDisplacement(DomainError):
     """Walk displacement must have the same parity as the step count."""
+
+
+class BeyondDoubleRange(DomainError):
+    """A floating-point answer lies beyond the double range."""
+
+
+def within_double_range(compute, what: str) -> float:
+    """compute(), refused with BeyondDoubleRange when its value overflows the doubles."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
+        raise BeyondDoubleRange(f"{what} exceeds the double range")
+    return value
 
 
 class InexactDivision(ArithmeticError):

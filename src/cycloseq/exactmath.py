@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterator
 
 from .errors import DegenerateFamily, InexactDivision
@@ -109,26 +110,21 @@ def partition_count(h: int, w: int) -> int:
 
 
 def compositions(w: int, h: int) -> Iterator[tuple[int, ...]]:
-    """All compositions of w into exactly h ordered positive parts."""
-    if h == 0:
-        if w == 0:
+    """All compositions of w into exactly h positive parts, in lexicographic order of their cut points."""
+    if h < 1 or w < 1:
+        if h == w == 0:
             yield ()
         return
-    if h == 1:
-        if w >= 1:
-            yield (w,)
-        return
-    for first in range(1, w - h + 2):
-        for rest in compositions(w - first, h - 1):
-            yield (first,) + rest
+    for cuts in combinations(range(1, w), h - 1):
+        yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, w)))
 
 
 def partitions_exact(w: int, h: int, _max: int | None = None) -> Iterator[tuple[int, ...]]:
     """All partitions of w into exactly h parts, in descending part order."""
     if _max is None:
         _max = w
-    if h == 0:
-        if w == 0:
+    if h <= 0:
+        if h == w == 0:
             yield ()
         return
     upper = min(_max, w - h + 1)

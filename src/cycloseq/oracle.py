@@ -1,11 +1,11 @@
 """Brute-force ground truth by exhaustive enumeration.
 
-Sequences are fixed-width bit words (bit i = digit at position i); cyclic
-windows are extracted by doubling the word and masking.  Enumeration of a
-family visits its one-position combinations in the fixed order of
-`itertools.combinations`.
-The default size cap N <= 20 keeps words within a machine word and runtimes
-bounded; CYCLOSEQ_ORACLE_CAP overrides it.
+Sequences are fixed-width bit words (bit i = digit at position i), visited
+in the order of `itertools.combinations`; cyclic windows are extracted by
+doubling the word and masking.  `pattern_census` reads the requested
+patterns off one sweep of window profiles.  The default size cap N <= 20
+keeps words within a machine word and runtimes bounded;
+CYCLOSEQ_ORACLE_CAP overrides it.
 """
 
 from __future__ import annotations
@@ -122,17 +122,20 @@ def joint_distribution(m: int, n: int, patterns: Iterable[str]) -> dict[tuple[in
     return tally(sequences(m, n), lambda word: tuple(count(word) for count in counters))
 
 
-def pattern_census(m: int, n: int, max_len: int = 4) -> dict[str, dict[int, int]]:
-    """Occurrence distributions of every pattern up to max_len, in one sweep.
+def pattern_census(m: int, n: int, patterns: Iterable[str]) -> dict[str, dict[int, int]]:
+    """Occurrence distributions of the requested patterns, in one sweep.
 
     Each word is tallied by its profile, the counts of its N cyclic windows of
-    length max_len by value.  A shorter pattern occurs wherever a window
-    starts with it, so every distribution is read off the profiles.
+    the longest requested length by value.  A shorter pattern occurs wherever
+    a window starts with it, so every distribution is read off the profiles.
     """
     N = m + n
     _check_cap(N)
-    max_len = min(max_len, N - 1) if N > 1 else 1
-    mask = (1 << max_len) - 1
+    patterns = [parse_pattern(p) for p in patterns]
+    width = max(map(len, patterns), default=0)
+    if width > N:
+        raise UnsupportedPattern(f"pattern length {width} exceeds the cycle length {N}")
+    mask = (1 << width) - 1
 
     def profile(word: int) -> tuple[int, ...]:
         doubled = word | (word << N)
@@ -143,12 +146,12 @@ def pattern_census(m: int, n: int, max_len: int = 4) -> dict[str, dict[int, int]
 
     profiles = tally(sequences(m, n), profile)
     out: dict[str, dict[int, int]] = {}
-    for L in range(1, max_len + 1):
-        for v in range(1 << L):
-            dist: Counter = Counter()
-            for counts, words in profiles.items():
-                dist[sum(counts[v :: 1 << L])] += words
-            out[format(v, f"0{L}b")[::-1]] = dict(sorted(dist.items()))
+    for pattern in patterns:
+        value, step = int(pattern[::-1], 2), 1 << len(pattern)
+        dist: Counter = Counter()
+        for counts, words in profiles.items():
+            dist[sum(counts[value::step])] += words
+        out[pattern] = dict(sorted(dist.items()))
     return out
 
 

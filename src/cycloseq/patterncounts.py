@@ -63,9 +63,9 @@ def _shape_count(pattern: str):
     """Count function (m, n, h) of a solved shape as written, or None."""
     r = len(pattern) - 1
     if pattern == "0" * (r + 1):
-        return lambda m, n, h: _count_zero_run(m, n, r + 1, h)
+        return lambda m, n, g: exact_div((m + n) * c_weight_tableau(r, m + n, g, n), n)
     if r >= 1 and pattern in ("0" * r + "1", "1" + "0" * r):
-        return lambda m, n, h: _count_zeros_then_one(m, n, r, h)
+        return lambda m, n, ell: exact_div((m + n) * c_general(r - 1, m + n, n, ell), n)
     if pattern == "101":
         return _count_101
     return None
@@ -85,16 +85,6 @@ def _solved_count(pattern: str):
 def is_solved_pattern(pattern: str) -> bool:
     """True when a closed form is shipped for the pattern."""
     return _solved_count(parse_pattern(pattern)) is not None
-
-
-def _count_zeros_then_one(m: int, n: int, r: int, ell: int) -> int:
-    """Sequences with exactly ell occurrences of the string 0^r 1."""
-    return exact_div((m + n) * c_general(r - 1, m + n, n, ell), n)
-
-
-def _count_zero_run(m: int, n: int, r: int, g: int) -> int:
-    """Sequences with exactly g occurrences of the run 0^r."""
-    return exact_div((m + n) * c_weight_tableau(r - 1, m + n, g, n), n)
 
 
 def _count_101(m: int, n: int, ell: int) -> int:
@@ -209,6 +199,17 @@ def kaplansky(N: int, n: int, p: int) -> int:
     return exact_div(N * binomial(reduced, n), reduced)
 
 
+def _all_words(N: int, pattern: str, h: int) -> int:
+    """Words among all 2^N on the N-cycle with h occurrences of a solved pattern.
+
+    The families of length N hold all but the two constant words, each of
+    which holds N occurrences of a run of its own digit.
+    """
+    count = _solved_count(pattern)
+    total = [N if pattern == digit * len(pattern) else 0 for digit in "01"].count(h)
+    return total + sum(count(m, N - m, h) for m in range(1, N))
+
+
 def fibonacci_gf(N: int, r: int, h: int) -> int:
     """Nonempty subsets of an N-cycle containing exactly h runs of r consecutive points.
 
@@ -217,10 +218,7 @@ def fibonacci_gf(N: int, r: int, h: int) -> int:
     """
     if N < 1 or r < 2 or h < 0:
         raise ValueError(f"need N >= 1, r >= 2, h >= 0, got ({N}, {r}, {h})")
-    total = 1 if h == N else 0
-    for n in range(1, N):
-        total += _count_zero_run(n, N - n, r, h)
-    return total
+    return _all_words(N, "1" * r, h) - (h == 0)
 
 
 def all_sequences_001(N: int, ell: int) -> int:
@@ -229,8 +227,4 @@ def all_sequences_001(N: int, ell: int) -> int:
         raise ValueError(f"need N >= 3, got {N}")
     if ell < 0:
         return 0
-    total = 2 if ell == 0 else 0  # the two constant words
-    for m in range(1, N):
-        total += _count_zeros_then_one(m, N - m, 2, ell)
-    return total
-
+    return _all_words(N, "001", ell)

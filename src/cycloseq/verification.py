@@ -6,7 +6,9 @@ inconsistency in the published tables and formulas: for every item it states
 the published reading, the corrected reading, and the verdict of an
 independent check (enumeration for counts; for the approximation rows and
 moment pairs, the live formulas against the slip catalogs and the frozen
-computed values).
+computed values).  Every suite check and every ledger verdict is one `_check`
+over (case, closed, oracle) comparisons, and the pattern counts of both come
+from one `_pattern_comparisons` over a census of the requested patterns.
 """
 
 from __future__ import annotations
@@ -37,10 +39,6 @@ SOLVED_UP_TO_4 = [
 ]
 
 
-def _solved_patterns(N: int) -> list[str]:
-    return [p for p in SOLVED_UP_TO_4 if len(p) < N]
-
-
 def _families(max_n: int) -> list[tuple[int, int]]:
     """Every nondegenerate family (m, n) with m + n <= max_n."""
     return [(m, N - m) for N in range(2, max_n + 1) for m in range(1, N)]
@@ -57,12 +55,12 @@ def _check(name: str, max_n: int, comparisons: Iterable[tuple[dict, object, obje
     return {"name": name, "max_n": max_n, "cases": cases, "failures": failures, "ok": not failures}
 
 
-def _pattern_comparisons(max_n: int):
+def _pattern_comparisons(max_n: int, patterns: list[str]):
+    """Every occurrence count of the patterns shorter than N, and one more, on every family."""
     for m, n in _families(max_n):
-        census = oracle.pattern_census(m, n, max_len=4)
-        for pattern in _solved_patterns(m + n):
-            expected = census[pattern]
-            for h in range(0, max(expected) + 2):
+        census = oracle.pattern_census(m, n, [p for p in patterns if len(p) < m + n])
+        for pattern, expected in census.items():
+            for h in range(max(expected) + 2):
                 yield ({"m": m, "n": n, "pattern": pattern, "h": h},
                        patterncounts.count_pattern(m, n, pattern, h), expected.get(h, 0))
 
@@ -80,7 +78,8 @@ def run_equivalence_suite(max_n: int = 12) -> list[dict]:
     """
     totals_n, census_n = max(max_n, 14), min(max_n, 10)
     return [
-        _check("pattern closed forms vs enumeration", max_n, _pattern_comparisons(max_n)),
+        _check("pattern closed forms vs enumeration", max_n,
+               _pattern_comparisons(max_n, SOLVED_UP_TO_4)),
         _check("jump distributions vs enumeration", max_n, (
             ({"m": m, "n": n}, tnumbers.t_distribution(m, n).entries,
              oracle.jump_distribution(m, n))
@@ -94,29 +93,6 @@ def run_equivalence_suite(max_n: int = 12) -> list[dict]:
              _census(oracle.type_census(m, n).items()))
             for m, n in _families(census_n))),
     ]
-
-
-def _fmt_dist(d: dict[int, int]) -> dict[str, str]:
-    return {str(k): str(v) for k, v in sorted(d.items())}
-
-
-def _slip_verdict(
-    published: dict, live: dict, cataloged: tuple, frozen: dict, rel_tol: float
-) -> str:
-    """Verdict on printed approximations.
-
-    The cells off by more than 0.01 must be the cataloged slips, and every live
-    value must equal its frozen computed value within rel_tol (0 means exactly).
-    """
-    off = sorted(key for key, value in published.items() if abs(live[key] - value) > 0.01)
-    moved = sorted(
-        key for key, value in live.items() if abs(value - frozen[key]) > rel_tol * abs(frozen[key])
-    )
-    if off != sorted(cataloged):
-        return f"UNRESOLVED: cells off by more than 0.01 are {off}, cataloged {sorted(cataloged)}"
-    if moved:
-        return f"UNRESOLVED: cells {moved} moved from their frozen computed values"
-    return f"cells off by more than 0.01: {off}, as cataloged"
 
 
 def _judged(item: dict, max_n: int, comparisons, verdict: str, oracle_text: str | None = None):
@@ -140,6 +116,23 @@ def _judged(item: dict, max_n: int, comparisons, verdict: str, oracle_text: str 
     return item
 
 
+def _judged_slips(item: dict, max_n: int, published: dict, live: dict, cataloged: tuple,
+                  frozen: dict, rel_tol: float) -> dict:
+    """Complete a ledger item on printed approximations.
+
+    Each printed cell is off by more than 0.01 exactly when it is cataloged,
+    and each live value keeps its frozen computed value within rel_tol (0
+    means exactly).
+    """
+    off = [({"cell": key, "check": "off by more than 0.01"},
+            abs(live[key] - value) > 0.01, key in cataloged) for key, value in published.items()]
+    kept = [({"cell": key, "check": "keeps its frozen value"},
+             abs(value - frozen[key]) <= rel_tol * abs(frozen[key]), True)
+            for key, value in live.items()]
+    return _judged(item, max_n, off + kept,
+                   f"cells off by more than 0.01: {sorted(cataloged)}, as cataloged")
+
+
 def _corner_cells(max_n: int):
     """Aligned corner cells (h, m - h, 0) of the (01;001;0001) joint table."""
     for m in range(2, 9):
@@ -149,17 +142,6 @@ def _corner_cells(max_n: int):
             for h in range((m + 1) // 2, min(m, n) + 1):
                 key = (h, m - h, 0)
                 yield {"m": m, "n": n, "cell": list(key)}, closed.get(key, 0), brute.get(key, 0)
-
-
-def _deletion_counts(max_n: int):
-    """Every occurrence count of 0001 and 00001 on the families with N <= min(max_n, 10)."""
-    for m, n in _families(min(max_n, 10)):
-        for pattern in ("0001", "00001"):
-            if len(pattern) < m + n:
-                brute = oracle.pattern_distribution(m, n, pattern)
-                for h in range(max(brute) + 1):
-                    yield ({"m": m, "n": n, "pattern": pattern, "h": h},
-                           patterncounts.count_pattern(m, n, pattern, h), brute.get(h, 0))
 
 
 def _nonzero(d: dict[int, int]) -> dict[int, int]:
@@ -176,7 +158,7 @@ def typo_ledger(max_n: int = 12) -> list[dict]:
             "location": "marginal row of the (4,4) joint (01;001) table",
             "published_reading": "2 56 12 9 0 (sums to 79 over a 70-sequence family)",
             "corrected_reading": "2 56 12 (all later counts vanish)",
-            "oracle": _fmt_dist(brute),
+            "oracle": {str(h): str(count) for h, count in brute.items()},
         }, max_n, [({"m": 4, "n": 4}, marginal, brute), ({"m": 4, "n": 4, "h": 3}, 0, brute.get(3, 0))],
             "published extra cell 9 is spurious"),
         _judged({
@@ -192,7 +174,8 @@ def typo_ledger(max_n: int = 12) -> list[dict]:
             "published_reading": "chain written ascending toward the (01) count",
             "corrected_reading": "the (01) count bounds the chain from above, "
                                  "descending to the innermost index",
-        }, max_n, _deletion_counts(max_n), "descending order confirmed",
+        }, max_n, _pattern_comparisons(min(max_n, 10), ["0001", "00001"]),
+            "descending order confirmed",
             "restricted-composition closed form matches enumeration for 0001 and 00001; "
             "tests/test_coeffs.py checks that form against the descending chain"),
         _judged({
@@ -244,18 +227,17 @@ def typo_ledger(max_n: int = 12) -> list[dict]:
 
     scale = comb(10, 5)
     live = {tau: analytics.binomial_jump_pmf(5, 5, tau) * scale for tau in BINOMIAL_ROW_PUBLISHED}
-    items.append({
+    items.append(_judged_slips({
         "id": "binomial-row-cells",
         "location": "published binomial-model row for the (5,5) family",
         "published_reading": str(BINOMIAL_ROW_PUBLISHED),
         "corrected_reading": str({tau: round(v, 4) for tau, v in live.items()}),
         "oracle": "exact rational evaluation of the stated probability model",
-        "verdict": _slip_verdict(BINOMIAL_ROW_PUBLISHED, live, BINOMIAL_ROW_BAD_CELLS,
-                                 BINOMIAL_ROW_COMPUTED, 1e-12),
-    })
+    }, max_n, BINOMIAL_ROW_PUBLISHED, live, BINOMIAL_ROW_BAD_CELLS,
+       BINOMIAL_ROW_COMPUTED, 1e-12))
 
     live = {tau: analytics.t_asymptotic(5, 5, tau) for tau in ASYMPTOTIC_ROW_PUBLISHED}
-    items.append({
+    items.append(_judged_slips({
         "id": "asymptotic-row-cells",
         "location": "published asymptotic row for the (5,5) family",
         "published_reading": str(ASYMPTOTIC_ROW_PUBLISHED),
@@ -263,23 +245,21 @@ def typo_ledger(max_n: int = 12) -> list[dict]:
         "oracle": "the entries at jump counts 4 and 6, and at 2 and 8, share their "
                   "exponential factor, so they must stand in ratios 2:3 and 1:4; "
                   "neither published pair does",
-        "verdict": _slip_verdict(ASYMPTOTIC_ROW_PUBLISHED, live, ASYMPTOTIC_ROW_BAD_CELLS,
-                                 ASYMPTOTIC_ROW_COMPUTED, 1e-12),
-    })
+    }, max_n, ASYMPTOTIC_ROW_PUBLISHED, live, ASYMPTOTIC_ROW_BAD_CELLS,
+       ASYMPTOTIC_ROW_COMPUTED, 1e-12))
 
     printed = {key: approx for key, (_, _, approx) in MOMENT_PAIRS_PUBLISHED.items()}
     live = {
         (m, n, r): analytics.moment_approx(m, n, r) / divisor
         for (m, n, r), (divisor, _, _) in MOMENT_PAIRS_PUBLISHED.items()
     }
-    items.append({
+    items.append(_judged_slips({
         "id": "moment-approx-pairs",
         "location": "Stirling-expansion member of the quoted moment pairs (m, n, r)",
         "published_reading": str(printed),
         "corrected_reading": "; ".join(f"{key}: {v} = {float(v):.4f}" for key, v in live.items()),
         "oracle": "exact rational evaluation of the expansion",
-        "verdict": _slip_verdict(printed, live, MOMENT_PAIRS_BAD_CELLS, MOMENT_PAIRS_COMPUTED, 0),
-    })
+    }, max_n, printed, live, MOMENT_PAIRS_BAD_CELLS, MOMENT_PAIRS_COMPUTED, 0))
 
     return items
 

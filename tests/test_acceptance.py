@@ -72,7 +72,7 @@ def test_criterion_02_t53_table(capsys):
     for pattern, row in T53_TABLE.items():
         for h, expected in enumerate(row):
             assert patterncounts.count_pattern(5, 3, pattern, h) == expected
-    census = oracle.pattern_census(5, 3, max_len=3)
+    census = oracle.pattern_census(5, 3, T53_TABLE)
     for pattern, row in T53_TABLE.items():
         for h, expected in enumerate(row):
             assert census[pattern].get(h, 0) == expected
@@ -350,23 +350,57 @@ def test_cli_verify_closes_the_ledger(capsys):
         assert required in ids
 
 
+def _item(item_id):
+    return {item["id"]: item for item in verification.typo_ledger(max_n=6)}[item_id]
+
+
 def _verdict(item_id):
-    return {item["id"]: item for item in verification.typo_ledger(max_n=6)}[item_id]["verdict"]
+    return _item(item_id)["verdict"]
+
+
+def _moved_cells(item_id):
+    item = _item(item_id)
+    assert item["verdict"] == "UNRESOLVED"
+    assert all(f["check"] == "keeps its frozen value" for f in item["failures"])
+    return [f["cell"] for f in item["failures"]]
 
 
 def test_ledger_flags_approximation_drift_below_print_precision(monkeypatch):
     # a formula change far below the printed 0.01 must still leave the ledger
-    # unresolved: live values are held to the frozen *_COMPUTED values
-    assert "UNRESOLVED" not in _verdict("asymptotic-row-cells")
-    assert "UNRESOLVED" not in _verdict("moment-approx-pairs")
+    # unresolved: live values are held to the frozen *_COMPUTED values, and
+    # the item lists every cell that moved
+    for item_id in ("binomial-row-cells", "asymptotic-row-cells", "moment-approx-pairs"):
+        assert "UNRESOLVED" not in _verdict(item_id)
+        assert "failures" not in _item(item_id)
 
     t_asymptotic = analytics.t_asymptotic
     monkeypatch.setattr(analytics, "t_asymptotic",
                         lambda m, n, tau: t_asymptotic(m, n, tau) * (1 + 1e-9))
-    assert _verdict("asymptotic-row-cells").startswith("UNRESOLVED")
+    assert _moved_cells("asymptotic-row-cells") == list(ASYMPTOTIC_ROW_PUBLISHED)
+    monkeypatch.undo()
+
+    pmf = analytics.binomial_jump_pmf
+    monkeypatch.setattr(analytics, "binomial_jump_pmf",
+                        lambda m, n, tau: pmf(m, n, tau) * (1 + 1e-9 * (tau == 4)))
+    assert _moved_cells("binomial-row-cells") == [4]
     monkeypatch.undo()
 
     coefficient = analytics._expansion_coefficient
     monkeypatch.setattr(analytics, "_expansion_coefficient",
                         lambda m, n, l: coefficient(m, n, l) * (2 if l == 4 else 1))
-    assert _verdict("moment-approx-pairs").startswith("UNRESOLVED")
+    # the l = 4 term enters the expansion from r = 5 on
+    assert _moved_cells("moment-approx-pairs") == [(10, 10, 5)]
+
+
+def test_ledger_flags_a_printed_cell_that_leaves_the_catalog(monkeypatch):
+    # a live value moved by more than 0.01 breaks both of its comparisons
+    t_asymptotic = analytics.t_asymptotic
+    monkeypatch.setattr(analytics, "t_asymptotic",
+                        lambda m, n, tau: t_asymptotic(m, n, tau) + 0.5 * (tau == 2))
+    item = _item("asymptotic-row-cells")
+    assert item["verdict"] == "UNRESOLVED"
+    assert [(f["cell"], f["check"], f["closed"], f["oracle"]) for f in item["failures"]] == [
+        (2, "off by more than 0.01", True, False),
+        (2, "keeps its frozen value", False, True),
+    ]
+    json.dumps(item)  # the failures print as JSON

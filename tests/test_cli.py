@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import json
 import os
 import subprocess
@@ -173,7 +174,8 @@ def test_exactness_checks_survive_python_O():
     assert json.loads(verify.stdout)["payload"]["all_equivalent"] is True
 
 
-TRACE_BOOT = Path(__file__).resolve().parents[1] / "perfbench" / "trace_boot.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACE_BOOT = PERFBENCH / "trace_boot.py"
 
 
 def _traced(tmp_path, *argv):
@@ -218,6 +220,67 @@ def test_asym_point_query_answers_past_the_overflow_of_the_tau_0_value(capsys, m
     # at tau = 0 the exponent is (log 2 - 1/2) N, past the float range here
     env = run_json(capsys, "asym", "--m", str(m), "--n", str(m), "--tau", str(tau))
     assert env["payload"] == pytest.approx(expected, rel=1e-4)
+
+
+@pytest.mark.parametrize("argv, what", [
+    (["asym", "--m", "2000", "--n", "2000"], "the asymptotic jump count at (2000, 2000, 2)"),
+    (["asym", "--m", "2000", "--n", "2000", "--sweep"],
+     "the asymptotic jump count at (2000, 2000, 0.1)"),
+    (["ising", "total", "--N", "5000", "--nu", "1"], "Z at N = 5000, nu = 1.0"),
+])
+def test_floats_beyond_the_double_range_are_domain_errors(capsys, argv, what):
+    assert run(capsys, *argv) == (3, "", f"error: {what} exceeds the double range\n")
+
+
+@pytest.mark.parametrize("alpha", ["-0.1", "1.5", "nan"])
+def test_walk_refuses_alpha_outside_the_unit_interval(capsys, alpha):
+    code, out, err = run(capsys, "walk", "--N", "6", "--k", "0", "--alpha", alpha)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: alpha must lie in [0, 1]")
+
+
+# how each catalogued defect probe must read: the float and digit-limit
+# defects are mended, while ising fixed and moments --approx still overflow
+PROBE_STATUS = {
+    ("tnum-str-digits", "tnum"): "fixed",
+    ("float-overflow", "ising"): "reproduces",
+    ("float-overflow", "walk"): "fixed",
+    ("float-overflow", "moments"): "reproduces",
+    ("walk-underflow", "walk"): "fixed",
+}
+
+
+def _perfbench_run(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_benchmark_defect_probe_reads_as_expected(monkeypatch):
+    # each probe runs through the CLI as the benchmark runs it and is judged by
+    # the benchmark's own judge, so no probe may fail in an uncatalogued way
+    bench = _perfbench_run(monkeypatch)
+    env = {**os.environ, "PYTHONPATH": SRC}
+    statuses = {}
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # the judge reads the probes' long decimal counts
+    try:
+        for defect in bench.NOTES["known_defects"]:
+            for argv in defect["probes"]:
+                argv = [*argv, "--format", "json"]
+                proc = subprocess.run([sys.executable, *bench.CLI, *argv], capture_output=True,
+                                      env=env, timeout=120)
+                err = proc.stderr.decode(errors="replace").strip().splitlines()
+                verdict = bench.judge(argv, proc.returncode, proc.stdout, err[-1] if err else "")
+                assert not verdict["unexplained"], (argv, verdict)
+                status = ("fixed" if verdict["ok"] else
+                          "reproduces" if verdict["defect"] == defect["id"] else verdict["defect"])
+                statuses[(defect["id"], argv[0])] = status
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert statuses == PROBE_STATUS
 
 
 def test_fib_and_kaplansky(capsys):

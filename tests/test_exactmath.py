@@ -73,6 +73,34 @@ def test_demoivre_counts_compositions(h, w):
     assert demoivre(h, w) == sum(1 for _ in compositions(w, h))
 
 
+def _compositions_by_first_part(w, h):
+    """Reference: compositions by recursion on the first part, smallest first."""
+    if h == 0:
+        if w == 0:
+            yield ()
+        return
+    if h == 1:
+        if w >= 1:
+            yield (w,)
+        return
+    for first in range(1, w - h + 2):
+        for rest in _compositions_by_first_part(w - first, h - 1):
+            yield (first,) + rest
+
+
+def test_compositions_match_the_first_part_recursion_in_order():
+    for w in range(13):
+        for h in range(13):
+            assert list(compositions(w, h)) == list(_compositions_by_first_part(w, h)), (w, h)
+
+
+@pytest.mark.parametrize("w", [-2, -1, 0, 1, 5])
+@pytest.mark.parametrize("h", [-3, -1])
+def test_enumerators_yield_nothing_below_zero_parts(w, h):
+    assert list(compositions(w, h)) == []
+    assert list(partitions_exact(w, h)) == []
+
+
 def test_partition_count_examples():
     assert partition_count(3, 6) == 3
     assert partition_count(2, 7) == 3

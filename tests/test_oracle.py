@@ -3,7 +3,7 @@ from itertools import groupby, product
 import pytest
 
 from cycloseq import oracle
-from cycloseq.errors import CapExceeded, ConstantSequence
+from cycloseq.errors import CapExceeded, ConstantSequence, UnsupportedPattern
 from cycloseq.exactmath import binomial
 
 
@@ -96,14 +96,28 @@ def test_type_signature_matches_a_string_run_scan():
             assert (t.zero_blocks, t.one_blocks) == _string_run_scan(bits), bits
 
 
+def _patterns_up_to(top):
+    return ["".join(p) for L in range(1, top + 1) for p in product("01", repeat=L)]
+
+
 def test_pattern_census_agrees_with_single_queries():
-    for m, n, max_len in ((4, 3, 4), (1, 1, 4), (2, 1, 4), (3, 2, 4), (5, 3, 5)):
-        census = oracle.pattern_census(m, n, max_len=max_len)
-        top = min(max_len, m + n - 1)
-        patterns = ["".join(p) for L in range(1, top + 1) for p in product("01", repeat=L)]
-        assert sorted(census) == sorted(patterns)
+    # every pattern up to the cycle length, then requests of mixed lengths,
+    # answered in the requested order
+    for m, n, patterns in ((4, 3, _patterns_up_to(4)), (1, 1, _patterns_up_to(2)),
+                           (2, 1, _patterns_up_to(3)), (3, 2, _patterns_up_to(5)),
+                           (5, 3, _patterns_up_to(5)), (4, 3, ["0110", "1", "00001", "10"]),
+                           (4, 3, [])):
+        census = oracle.pattern_census(m, n, patterns)
+        assert list(census) == patterns
         for pattern in patterns:
             assert census[pattern] == oracle.pattern_distribution(m, n, pattern), (m, n, pattern)
+
+
+def test_pattern_census_refuses_a_pattern_longer_than_the_cycle():
+    with pytest.raises(UnsupportedPattern, match="exceeds the cycle length 5"):
+        oracle.pattern_census(3, 2, ["01", "010101"])
+    with pytest.raises(UnsupportedPattern):
+        oracle.pattern_census(3, 2, ["012"])
 
 
 def test_allwords_distributions():

@@ -272,11 +272,8 @@ def test_distributions_normalize(N):
 def test_matches_oracle_everywhere(N):
     for m in range(1, N):
         n = N - m
-        census = oracle.pattern_census(m, n, max_len=4)
-        for pattern in SOLVED:
-            if len(pattern) >= N:
-                continue
-            brute = census[pattern]
+        census = oracle.pattern_census(m, n, [p for p in SOLVED if len(p) < N])
+        for pattern, brute in census.items():
             top = max(brute) + 1
             for h in range(0, top + 1):
                 assert count_pattern(m, n, pattern, h) == brute.get(h, 0), (m, n, pattern, h)
@@ -380,19 +377,14 @@ def test_fibonacci_closed_form_r2():
             assert fibonacci_gf(N, 2, h) == direct, (N, h)
 
 
-def _gf_brute(N, r, h):
-    return sum(
-        1
-        for word in range(1, 1 << N)
-        if oracle.cyclic_occurrences(word, N, "1" * r) == h
-    )
-
-
 @pytest.mark.parametrize("N", range(3, 11))
 def test_fibonacci_matches_enumeration(N):
-    for r in range(2, min(5, N)):
-        for h in range(0, N + 1):
-            assert fibonacci_gf(N, r, h) == _gf_brute(N, r, h), (N, r, h)
+    # every run length up to the whole cycle, over the nonempty subsets
+    for r in range(2, N + 1):
+        brute = oracle.tally(range(1, 1 << N),
+                             lambda word: oracle.cyclic_occurrences(word, N, "1" * r))
+        for h in range(0, N + 2):
+            assert fibonacci_gf(N, r, h) == brute.get(h, 0), (N, r, h)
 
 
 def test_fibonacci_completeness():
@@ -405,7 +397,7 @@ def test_all_sequences_001():
     assert all_sequences_001(8, 0) == 48
     assert all_sequences_001(8, 1) == 160
     assert all_sequences_001(8, 2) == 48
-    for N in range(3, 11):
+    for N in range(3, 13):
         assert sum(all_sequences_001(N, l) for l in range(N + 1)) == 2**N
         for l in range(N // 3 + 1, N + 1):
             assert all_sequences_001(N, l) == 0

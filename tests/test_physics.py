@@ -5,7 +5,7 @@ import mpmath
 import pytest
 
 from cycloseq import oracle
-from cycloseq.errors import DegenerateFamily, InvalidDisplacement
+from cycloseq.errors import BeyondDoubleRange, DegenerateFamily, InvalidDisplacement
 from cycloseq.exactmath import binomial
 from cycloseq.physics import (
     ising_partition_fixed,
@@ -13,6 +13,7 @@ from cycloseq.physics import (
     walk_weight_polynomial,
     walk_weight_total,
 )
+from cycloseq.tnumbers import t_distribution
 
 
 def _boltzmann_sum_mp(N: int, nu, dps: int = 50):
@@ -137,3 +138,52 @@ def test_walk_parity_and_degenerate():
     poly = walk_weight_polynomial(5, 5)
     assert poly.coefficients == {0: 1}
     assert poly.scalar(0.25) == pytest.approx(0.75**5)
+
+
+def _weighted_sum_mp(counts: dict[int, int], N: int, log_x, log_y, dps: int = 50):
+    """sum of count * x^tau * y^(N - tau) in dps-digit arithmetic, from exact counts."""
+    with mpmath.workdps(dps):
+        return mpmath.fsum(
+            mpmath.mpf(c) * mpmath.exp(t * log_x + (N - t) * log_y) for t, c in counts.items()
+        )
+
+
+@pytest.mark.parametrize("N, k, alpha", [
+    (2000, 1740, 0.4),  # alpha^tau alone underflows the doubles
+    (3000, 0, 0.5),  # the counts alone overflow them
+    (4000, 2, 0.07),
+    (3999, 999, 0.93),
+    (61, 1, 0.3),
+])
+def test_walk_scalar_matches_50_digits_far_past_the_double_range_of_its_parts(N, k, alpha):
+    poly = walk_weight_polynomial(N, k)
+    with mpmath.workdps(50):
+        a = mpmath.mpf(alpha)
+        want = _weighted_sum_mp(poly.coefficients, N, mpmath.log(a), mpmath.log(1 - a))
+    assert poly.scalar(alpha) == pytest.approx(float(want), rel=1e-12)
+
+
+@pytest.mark.parametrize("N, n, nu", [(4000, 847, -2.32), (2808, 553, -2.81), (3000, 653, -3.73)])
+def test_fixed_matches_50_digits_at_large_N(N, n, nu):
+    dist = t_distribution(N - n, n).entries
+    want = _weighted_sum_mp(dist, N, -mpmath.mpf(nu), mpmath.mpf(nu))
+    assert ising_partition_fixed(N, n, nu) == pytest.approx(float(want), rel=1e-12)
+
+
+def test_walk_alpha_limits_and_range():
+    poly = walk_weight_polynomial(8, 0)
+    assert poly.scalar(0.0) == 0.0  # every closed walk changes direction
+    assert poly.scalar(1.0) == 2.0  # the two alternating walks
+    assert walk_weight_polynomial(5, 5).scalar(0.0) == 1.0
+    assert walk_weight_polynomial(5, 5).scalar(1.0) == 0.0
+    for alpha in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="alpha"):
+            poly.scalar(alpha)
+
+
+def test_totals_beyond_the_double_range():
+    # the fixed sum still raises OverflowError; the closed total is a domain error
+    with pytest.raises(OverflowError):
+        ising_partition_fixed(2000, 1000, 1.0)
+    with pytest.raises(BeyondDoubleRange, match="exceeds the double range"):
+        ising_partition_total(5000, 1.0)
