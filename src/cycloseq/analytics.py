@@ -104,6 +104,8 @@ def t_asymptotic(m: int, n: int, tau: float) -> float:
     """
     if m < 1 or n < 1:
         raise DegenerateFamily("asymptotic form needs both digits present")
+    if tau < 0:
+        raise InvalidTau(f"jump count must be >= 0, got {tau}")
     if tau == 0:
         return 0.0  # even where the Gaussian factor alone leaves the double range
     N = m + n

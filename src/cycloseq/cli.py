@@ -15,8 +15,10 @@ import io
 import json
 import sys
 
-from . import analytics, coeffs, oracle, patterncounts, physics, tnumbers, verification
-from .errors import DegenerateFamily, DomainError, UnsupportedPattern
+# analytics, oracle and verification load fractions, the enumerator and the
+# published tables, so only the runners that call them import them
+from . import coeffs, patterncounts, physics, tnumbers
+from .errors import DegenerateFamily, DomainError
 
 FORMAT_VERSION = "1"
 
@@ -190,14 +192,12 @@ def _run_tnum(args) -> dict:
 def _run_dist(args) -> dict:
     params = {"m": args.m, "n": args.n, "pattern": args.pattern, "via": args.via}
     if args.via == "oracle":
+        from . import oracle
+
         entries = oracle.pattern_distribution(args.m, args.n, args.pattern)
         top = max((h for h, v in entries.items() if v), default=0)
         entries = {h: entries.get(h, 0) for h in range(top + 1)}
         return _envelope("dist", params, _dist_payload(entries), "oracle")
-    if not patterncounts.is_solved_pattern(args.pattern):
-        raise UnsupportedPattern(
-            f"no closed form for pattern {args.pattern!r}; rerun with --via oracle"
-        )
     dist = patterncounts.pattern_distribution(args.m, args.n, args.pattern)
     return _envelope("dist", params, _dist_payload(dist.entries), "closed-form")
 
@@ -246,6 +246,8 @@ def _run_appendix(args) -> dict:
 
 
 def _run_moments(args) -> dict:
+    from . import analytics
+
     exact = analytics.moment_sum(args.m, args.n, args.r)
     params = {"m": args.m, "n": args.n, "r": args.r, "approx": args.approx}
     if not args.approx:
@@ -260,6 +262,8 @@ def _run_moments(args) -> dict:
 
 
 def _run_asym(args) -> dict:
+    from . import analytics
+
     params = {"m": args.m, "n": args.n}
     if args.m < 1 or args.n < 1:
         raise DegenerateFamily("asymptotic form needs both digits present")
@@ -283,6 +287,8 @@ def _run_asym(args) -> dict:
 
 
 def _run_verify(args) -> tuple[dict, int]:
+    from . import verification
+
     report = verification.run_verify(args.max_n)
     env = _envelope("verify", {"max_N": args.max_n}, report, "both")
     return env, 0 if report["all_equivalent"] else 1

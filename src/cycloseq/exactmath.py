@@ -3,9 +3,9 @@
 Binomials and the row of binomial products C(m, h) C(n, h), falling
 factorials, Stirling numbers of the second kind, composition counts
 (ordered partitions, De Moivre numbers) and exact-part partition counts,
-the one checked exact division, and the sequence family (m, n) with its
-checks.  Everything here is a pure function of its arguments and exact at
-any magnitude; Python ints carry the arithmetic.
+the one checked exact division, and the checked sequence family (m, n)
+and digit pattern.  Everything here is a pure function of its arguments
+and exact at any magnitude; Python ints carry the arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator
 
-from .errors import DegenerateFamily, InexactDivision
+from .errors import DegenerateFamily, InexactDivision, UnsupportedPattern
 
 
 def binomial(a: int, b: int) -> int:
@@ -163,3 +163,10 @@ def nondegenerate_family(m: int, n: int) -> SequenceFamily:
     if family.is_degenerate:
         raise DegenerateFamily(f"family ({m}, {n}) is constant; query the oracle instead")
     return family
+
+
+def parse_pattern(pattern: str) -> str:
+    """The pattern itself, refused unless it is a nonempty string over 0/1."""
+    if not pattern or any(ch not in "01" for ch in pattern):
+        raise UnsupportedPattern(f"pattern must be a nonempty string over 0/1, got {pattern!r}")
+    return pattern

@@ -16,8 +16,7 @@ from itertools import combinations
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .errors import CapExceeded, ConstantSequence, UnsupportedPattern
-from .exactmath import SequenceFamily
-from .patterncounts import parse_pattern
+from .exactmath import SequenceFamily, parse_pattern
 from .tnumbers import SequenceType
 
 DEFAULT_CAP = 20

@@ -24,7 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import UnsupportedPattern
-from .exactmath import SequenceFamily, binomial, demoivre, exact_div, nondegenerate_family
+from .exactmath import (
+    SequenceFamily, binomial, demoivre, exact_div, nondegenerate_family, parse_pattern,
+)
 from .coeffs import c_general, c_tableau, c_weight_tableau
 from .tnumbers import CountDistribution
 
@@ -46,12 +48,6 @@ class JointDistribution:
         for key, count in self.entries.items():
             out[key[axis]] = out.get(key[axis], 0) + count
         return dict(sorted(out.items()))
-
-
-def parse_pattern(pattern: str) -> str:
-    if not pattern or any(ch not in "01" for ch in pattern):
-        raise UnsupportedPattern(f"pattern must be a nonempty string over 0/1, got {pattern!r}")
-    return pattern
 
 
 def flip(pattern: str) -> str:

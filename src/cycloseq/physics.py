@@ -40,6 +40,8 @@ def ising_partition_fixed(N: int, n: int, nu: float) -> float:
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
+    if not math.isfinite(nu):
+        raise ValueError(f"nu must be finite, got {nu}")
     if n <= 0 or n >= N:
         raise DegenerateFamily(
             f"n = {n} leaves a single aligned configuration with Z = exp({N}*nu)"
@@ -51,6 +53,8 @@ def ising_partition_total(N: int, nu: float) -> float:
     """Closed-form Boltzmann sum over all 2^N ring configurations."""
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
+    if not math.isfinite(nu):
+        raise ValueError(f"nu must be finite, got {nu}")
     return within_double_range(
         lambda: (2 * math.cosh(nu)) ** N + (2 * math.sinh(nu)) ** N, f"Z at N = {N}, nu = {nu}"
     )

@@ -126,12 +126,13 @@ def test_usage_error_exit_2(capsys):
 
 
 def test_negative_digit_count_exit_2(capsys):
-    # both routes refuse a family with a negative digit count as a usage error
+    # both routes refuse a family with a negative digit count as a usage error,
+    # and the closed route does so before it looks for a pattern's closed form
     for m, n in ((-1, 3), (3, -1)):
-        for via in ("closed", "oracle"):
+        for pattern, via in (("0", "closed"), ("0", "oracle"), ("0110", "closed")):
             code, out, err = run(capsys, "dist", "--m", str(m), "--n", str(n),
-                                 "--pattern", "0", "--via", via, "--format", "json")
-            assert (code, out) == (2, ""), (m, n, via)
+                                 "--pattern", pattern, "--via", via, "--format", "json")
+            assert (code, out) == (2, ""), (m, n, pattern, via)
             assert "need m, n >= 0" in err
     # the oracle reads the pattern before it starts enumerating the family
     code, out, err = run(capsys, "dist", "--m", "-1", "--n", "3", "--pattern", "x",
@@ -152,6 +153,21 @@ def test_no_assert_statements_in_the_package():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name}: assert at lines {lines}"
+
+
+@pytest.mark.parametrize("module, absent", [
+    ("cycloseq.cli", ["cycloseq.analytics", "cycloseq.oracle", "cycloseq.verification",
+                      "cycloseq.reference_tables", "fractions", "decimal"]),
+    ("cycloseq.oracle", ["cycloseq.patterncounts", "cycloseq.coeffs"]),
+])
+def test_a_fresh_import_loads_only_what_the_module_calls(module, absent):
+    # the CLI defers the layers few commands run; the oracle imports no closed form
+    probe = subprocess.run(
+        [sys.executable, "-c", f"import sys, {module}; print(' '.join(sorted(sys.modules)))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert set(absent).isdisjoint(probe.stdout.split())
 
 
 def test_exactness_checks_survive_python_O():
@@ -237,6 +253,19 @@ def test_walk_refuses_alpha_outside_the_unit_interval(capsys, alpha):
     code, out, err = run(capsys, "walk", "--N", "6", "--k", "0", "--alpha", alpha)
     assert (code, out) == (2, "")
     assert err.startswith("usage error: alpha must lie in [0, 1]")
+
+
+@pytest.mark.parametrize("nu", ["nan", "inf"])
+@pytest.mark.parametrize("mode", [["fixed", "--n", "2"], ["total"]])
+def test_ising_refuses_a_non_finite_coupling(capsys, mode, nu):
+    code, out, err = run(capsys, "ising", *mode, "--N", "4", "--nu", nu)
+    assert (code, out, err) == (2, "", f"usage error: nu must be finite, got {nu}\n")
+
+
+@pytest.mark.parametrize("tau", ["-2", "-1"])
+def test_asym_refuses_a_negative_jump_count(capsys, tau):
+    code, out, err = run(capsys, "asym", "--m", "5", "--n", "5", "--tau", tau)
+    assert (code, out, err) == (3, "", f"error: jump count must be >= 0, got {tau}\n")
 
 
 # how each catalogued defect probe must read: the float and digit-limit
