@@ -1,8 +1,8 @@
 """Errors raised by the counting engine.
 
 Every DomainError maps to CLI exit code 3; usage errors are argparse's exit
-code 2.  InexactDivision marks a defect in the engine itself, not in the
-query, so the CLI lets it end in a traceback.
+code 2.  InexactDivision and IncompleteEnumeration mark a defect in the
+engine itself, not in the query, so the CLI lets them end in a traceback.
 """
 
 import math
@@ -53,3 +53,7 @@ def within_double_range(compute, what: str) -> float:
 
 class InexactDivision(ArithmeticError):
     """A division that a counting formula guarantees to be exact left a remainder."""
+
+
+class IncompleteEnumeration(ArithmeticError):
+    """The oracle's rotation classes did not cover their family exactly once."""

@@ -1,10 +1,14 @@
 """Brute-force ground truth by exhaustive enumeration.
 
-Sequences are fixed-width bit words (bit i = digit at position i), visited
-in the order of `itertools.combinations`; cyclic windows are extracted by
-doubling the word and masking.  `pattern_census` reads the requested
-patterns off one sweep of window profiles.  The default size cap N <= 20
-keeps words within a machine word and runtimes bounded;
+Sequences are fixed-width bit words (bit i = digit at position i).  Every
+count the oracle takes is cyclic, so it is the same on all rotations of a
+word: `rotation_classes` visits one word per rotation class, by the
+Fredricksen-Kessler-Maiorana rule restricted to m zeros and n ones, and
+`tally` weights each key by its class size.  The sizes must sum to
+C(m+n, n), or the enumeration raises `IncompleteEnumeration`.  Cyclic
+windows are extracted by doubling the word and masking.  `pattern_census`
+reads the requested patterns off one sweep of window profiles.  The default
+size cap N <= 20 keeps words within a machine word and runtimes bounded;
 CYCLOSEQ_ORACLE_CAP overrides it.
 """
 
@@ -15,7 +19,7 @@ from collections import Counter
 from itertools import combinations
 from typing import Callable, Hashable, Iterable, Iterator
 
-from .errors import CapExceeded, ConstantSequence, UnsupportedPattern
+from .errors import CapExceeded, ConstantSequence, IncompleteEnumeration, UnsupportedPattern
 from .exactmath import SequenceFamily, parse_pattern
 from .tnumbers import SequenceType
 
@@ -39,11 +43,42 @@ def _check_cap(N: int) -> None:
 
 
 def sequences(m: int, n: int) -> Iterator[int]:
-    """All words with m zeros and n ones, in enumeration order."""
+    """All words with m zeros and n ones, one by one: the reference for `rotation_classes`."""
     SequenceFamily(m, n)  # refuses negative digit counts, not constant families
     N = m + n
     _check_cap(N)
     yield from map(sum, combinations([1 << p for p in range(N)], n))
+
+
+def rotation_classes(m: int, n: int) -> Iterator[tuple[int, int]]:
+    """(word, class size) for one word of each rotation class with m zeros and n ones.
+
+    Builds the lexicographically least rotations digit by digit: the next
+    digit is at least the one p places back, p is the period of the prefix so
+    far, and a full word whose period p divides N is a class of p words.
+    """
+    family = SequenceFamily(m, n)
+    N = family.N
+    _check_cap(N)
+    covered = 0
+    stack = [(0, 1, 0, m, n)]  # digits placed, period, word, zeros left, ones left
+    while stack:
+        t, p, word, zeros, ones = stack.pop()
+        if t == N:
+            if N % p == 0:
+                covered += p
+                yield word, p
+        elif t >= p and word >> (t - p) & 1:  # the digit p places back is a one
+            if ones:
+                stack.append((t + 1, p, word | 1 << t, zeros, ones - 1))
+        else:  # a zero, or none yet: a one here makes the whole prefix the period
+            if ones:
+                stack.append((t + 1, t + 1, word | 1 << t, zeros, ones - 1))
+            if zeros:
+                stack.append((t + 1, p, word, zeros - 1, ones))
+    if covered != family.size():
+        raise IncompleteEnumeration(
+            f"rotation classes of ({m}, {n}) cover {covered} words, not {family.size()}")
 
 
 def _occurrence_counter(N: int, pattern: str) -> Callable[[int], int]:
@@ -101,24 +136,27 @@ def type_signature(word: int, N: int) -> SequenceType:
     return SequenceType(*(tuple(sorted(b, reverse=True)) for b in blocks))
 
 
-def tally(words: Iterable[int], key: Callable[[int], Hashable]) -> dict:
-    """Number of words per key value, in ascending key order."""
-    return dict(sorted(Counter(map(key, words)).items()))
+def tally(classes: Iterable[tuple[int, int]], key: Callable[[int], Hashable]) -> dict:
+    """Number of words per key value, in ascending key order, from (word, weight) pairs."""
+    counts: Counter = Counter()
+    for word, size in classes:
+        counts[key(word)] += size
+    return dict(sorted(counts.items()))
 
 
 def jump_distribution(m: int, n: int) -> dict[int, int]:
-    return tally(sequences(m, n), lambda word: jump_count(word, m + n))
+    return tally(rotation_classes(m, n), lambda word: jump_count(word, m + n))
 
 
 def pattern_distribution(m: int, n: int, pattern: str) -> dict[int, int]:
     _check_cap(m + n)  # an over-cap family is refused before its pattern is read
-    return tally(sequences(m, n), _occurrence_counter(m + n, pattern))
+    return tally(rotation_classes(m, n), _occurrence_counter(m + n, pattern))
 
 
 def joint_distribution(m: int, n: int, patterns: Iterable[str]) -> dict[tuple[int, ...], int]:
     _check_cap(m + n)
     counters = [_occurrence_counter(m + n, p) for p in patterns]
-    return tally(sequences(m, n), lambda word: tuple(count(word) for count in counters))
+    return tally(rotation_classes(m, n), lambda word: tuple(count(word) for count in counters))
 
 
 def pattern_census(m: int, n: int, patterns: Iterable[str]) -> dict[str, dict[int, int]]:
@@ -143,7 +181,7 @@ def pattern_census(m: int, n: int, patterns: Iterable[str]) -> dict[str, dict[in
             counts[(doubled >> i) & mask] += 1
         return tuple(counts)
 
-    profiles = tally(sequences(m, n), profile)
+    profiles = tally(rotation_classes(m, n), profile)
     out: dict[str, dict[int, int]] = {}
     for pattern in patterns:
         value, step = int(pattern[::-1], 2), 1 << len(pattern)
@@ -155,5 +193,5 @@ def pattern_census(m: int, n: int, patterns: Iterable[str]) -> dict[str, dict[in
 
 
 def type_census(m: int, n: int) -> dict[SequenceType, int]:
-    return tally(sequences(m, n), lambda word: type_signature(word, m + n))
+    return tally(rotation_classes(m, n), lambda word: type_signature(word, m + n))
 

@@ -209,7 +209,7 @@ def _traced(tmp_path, *argv):
 def test_traced_mode_counts_oracle_words(tmp_path):
     summary = _traced(tmp_path, "dist", "--m", "6", "--n", "6", "--pattern", "0110",
                       "--via", "oracle")
-    assert summary["words"] == 924
+    assert summary["words"] == 80  # rotation classes of the 924 words
 
 
 def test_traced_mode_counts_verify_cases(tmp_path):

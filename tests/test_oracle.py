@@ -1,10 +1,16 @@
 from itertools import groupby, product
+from math import gcd
 
 import pytest
 
 from cycloseq import oracle
-from cycloseq.errors import CapExceeded, ConstantSequence, UnsupportedPattern
-from cycloseq.exactmath import binomial
+from cycloseq.errors import (CapExceeded, ConstantSequence, IncompleteEnumeration,
+                             UnsupportedPattern)
+from cycloseq.exactmath import SequenceFamily, binomial
+
+
+def _patterns_up_to(top):
+    return ["".join(p) for L in range(1, top + 1) for p in product("01", repeat=L)]
 
 
 def _word(bits: str) -> int:
@@ -19,6 +25,69 @@ def test_enumeration_visits_every_word_once():
         assert len(words) == binomial(m + n, n)
         assert len(set(words)) == len(words)
         assert all(bin(w).count("1") == n and w >> (m + n) == 0 for w in words)
+
+
+def _rotations(word, N):
+    mask = (1 << N) - 1
+    return {(word >> i | word << (N - i)) & mask for i in range(N)}
+
+
+def _necklace_count(N, n):
+    # Burnside over the rotation group: (1/N) sum over d | gcd(N, n) of phi(d) C(N/d, n/d)
+    phi = [sum(gcd(d, k) == 1 for k in range(1, d + 1)) for d in range(N + 1)]
+    g = gcd(N, n)
+    return sum(phi[d] * binomial(N // d, n // d) for d in range(1, g + 1) if g % d == 0) // N
+
+
+def _profile(word, N, width):
+    # counts of the N cyclic windows of the given width, by window value
+    doubled = word | word << N
+    counts = [0] * (1 << width)
+    for i in range(N):
+        counts[doubled >> i & ((1 << width) - 1)] += 1
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("N", range(1, 15))
+def test_rotation_classes_tally_like_every_word(N):
+    # constant families included; the plain enumeration is the reference
+    patterns = _patterns_up_to(min(4, N))
+    keys = [lambda word: oracle.jump_count(word, N), lambda word: _profile(word, N, min(4, N))]
+    if N >= 4:
+        keys.append(lambda word: tuple(oracle.cyclic_occurrences(word, N, p)
+                                       for p in ("01", "001", "0001")))
+    for n in range(N + 1):
+        m = N - n
+        classes = list(oracle.rotation_classes(m, n))
+        words = [(word, 1) for word in oracle.sequences(m, n)]
+        assert len(classes) == _necklace_count(N, n), (m, n)
+        seen: set[int] = set()
+        for word, size in classes:
+            rotations = _rotations(word, N)
+            assert N % size == 0 and len(rotations) == size, (m, n, word)
+            assert bin(word).count("1") == n and word >> N == 0, (m, n, word)
+            assert not rotations & seen, (m, n, word)
+            seen |= rotations
+        types = [lambda word: oracle.type_signature(word, N)] if 0 < n < N else []
+        for key in keys + types:
+            assert oracle.tally(classes, key) == oracle.tally(words, key), (m, n)
+        # the census is read off the word profiles, pattern by pattern
+        profiles = oracle.tally(words, lambda word: _profile(word, N, min(4, N)))
+        census = oracle.pattern_census(m, n, patterns)
+        for pattern in patterns:
+            value, step = int(pattern[::-1], 2), 1 << len(pattern)
+            dist: dict[int, int] = {}
+            for counts, mult in profiles.items():
+                h = sum(counts[value::step])
+                dist[h] = dist.get(h, 0) + mult
+            assert census[pattern] == dict(sorted(dist.items())), (m, n, pattern)
+
+
+def test_class_sizes_that_miss_the_family_size_raise(monkeypatch):
+    monkeypatch.setattr(SequenceFamily, "size", lambda family: 1 + binomial(family.N, family.n))
+    with pytest.raises(IncompleteEnumeration, match=r"cover 35 words, not 36") as raised:
+        oracle.jump_distribution(3, 4)
+    assert isinstance(raised.value, ArithmeticError)
 
 
 def test_cyclic_window_counting():
@@ -96,10 +165,6 @@ def test_type_signature_matches_a_string_run_scan():
             assert (t.zero_blocks, t.one_blocks) == _string_run_scan(bits), bits
 
 
-def _patterns_up_to(top):
-    return ["".join(p) for L in range(1, top + 1) for p in product("01", repeat=L)]
-
-
 def test_pattern_census_agrees_with_single_queries():
     # every pattern up to the cycle length, then requests of mixed lengths,
     # answered in the requested order
@@ -121,11 +186,13 @@ def test_pattern_census_refuses_a_pattern_longer_than_the_cycle():
 
 
 def test_allwords_distributions():
-    jumps = oracle.tally(range(1 << 6), lambda word: oracle.jump_count(word, 6))
+    jumps = oracle.tally(((word, 1) for word in range(1 << 6)),
+                         lambda word: oracle.jump_count(word, 6))
     assert sum(jumps.values()) == 64
     for tau, count in jumps.items():
         assert count == 2 * binomial(6, tau)
-    dist = oracle.tally(range(1 << 5), lambda word: oracle.cyclic_occurrences(word, 5, "11"))
+    dist = oracle.tally(((word, 1) for word in range(1 << 5)),
+                        lambda word: oracle.cyclic_occurrences(word, 5, "11"))
     assert sum(dist.values()) == 32
 
 

@@ -19,7 +19,7 @@ from cycloseq.patterncounts import (
     pattern_distribution,
     triple_01_001_0001,
 )
-from cycloseq.tnumbers import t_number
+from cycloseq.tnumbers import t_distribution, t_number
 
 SOLVED = [
     "0", "1", "00", "01", "10", "11",
@@ -151,6 +151,21 @@ def test_distribution_matches_point_counts_beyond_the_oracle_cap():
             assert dist.total == binomial(m + n, n), pattern
             for h in range(m + n + 2):
                 assert dist[h] == count_pattern(m, n, pattern, h), (pattern, h)
+
+
+@pytest.mark.parametrize("m, n", [(10, 11), (11, 11), (12, 12)])
+def test_closed_forms_match_enumeration_past_the_default_cap(monkeypatch, m, n):
+    # the rotation classes keep N = 21..24 in reach of the oracle
+    monkeypatch.setenv("CYCLOSEQ_ORACLE_CAP", "24")
+
+    def nonzero(entries):
+        return {h: v for h, v in entries.items() if v}
+
+    patterns = ["001", "0001", "101", "000"]
+    census = oracle.pattern_census(m, n, patterns)
+    for pattern in patterns:
+        assert nonzero(pattern_distribution(m, n, pattern).entries) == nonzero(census[pattern]), pattern
+    assert nonzero(t_distribution(m, n).entries) == nonzero(oracle.jump_distribution(m, n))
 
 
 SOLVED_UP_TO_10 = sorted(p for L in range(1, 11) for p in _solved_at_length(L))
@@ -381,7 +396,7 @@ def test_fibonacci_closed_form_r2():
 def test_fibonacci_matches_enumeration(N):
     # every run length up to the whole cycle, over the nonempty subsets
     for r in range(2, N + 1):
-        brute = oracle.tally(range(1, 1 << N),
+        brute = oracle.tally(((word, 1) for word in range(1, 1 << N)),
                              lambda word: oracle.cyclic_occurrences(word, N, "1" * r))
         for h in range(0, N + 2):
             assert fibonacci_gf(N, r, h) == brute.get(h, 0), (N, r, h)
@@ -401,6 +416,7 @@ def test_all_sequences_001():
         assert sum(all_sequences_001(N, l) for l in range(N + 1)) == 2**N
         for l in range(N // 3 + 1, N + 1):
             assert all_sequences_001(N, l) == 0
-        brute = oracle.tally(range(1 << N), lambda word: oracle.cyclic_occurrences(word, N, "001"))
+        brute = oracle.tally(((word, 1) for word in range(1 << N)),
+                             lambda word: oracle.cyclic_occurrences(word, N, "001"))
         for l in range(N + 1):
             assert all_sequences_001(N, l) == brute.get(l, 0)
