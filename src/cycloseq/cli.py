@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 
 # analytics, oracle and verification load fractions, the enumerator and the
 # published tables, so only the runners that call them import them
-from . import coeffs, patterncounts, physics, tnumbers
+from . import coeffs, exactmath, patterncounts, physics, tnumbers
 from .errors import DegenerateFamily, DomainError
 
 FORMAT_VERSION = "1"
@@ -37,22 +36,22 @@ def _dist_payload(entries: dict[int, int]) -> dict[str, str]:
     return {str(k): str(v) for k, v in sorted(entries.items())}
 
 
-def _emit_json(env: dict) -> str:
-    return json.dumps(env, indent=2) + "\n"
+def _emit_json(env: dict, out) -> None:
+    json.dump(env, out, indent=2)
+    out.write("\n")
 
 
-def _emit_csv(env: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+def _emit_csv(env: dict, out) -> None:
+    writer = csv.writer(out, lineterminator="\n")
     payload = env["payload"]
-    buf.write(f"# {env['command']} {json.dumps(env['params'], sort_keys=True)} "
+    out.write(f"# {env['command']} {json.dumps(env['params'], sort_keys=True)} "
               f"v{env['format_version']} {env['provenance']}\n")
     if isinstance(payload, dict) and "rows" in payload:
         for row in payload["rows"]:
             writer.writerow(row)
     elif isinstance(payload, list) and payload and isinstance(payload[0], dict) and "rows" in payload[0]:
         for block in payload:
-            buf.write(f"# kind={block['kind']} fixed_index={block['fixed_index']}\n")
+            out.write(f"# kind={block['kind']} fixed_index={block['fixed_index']}\n")
             for row in block["rows"]:
                 writer.writerow(row)
     elif isinstance(payload, dict):
@@ -65,7 +64,6 @@ def _emit_csv(env: dict) -> str:
     else:
         writer.writerow(["value"])
         writer.writerow([payload])
-    return buf.getvalue()
 
 
 def _matrix_pretty(block: dict) -> str:
@@ -81,32 +79,34 @@ def _matrix_pretty(block: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit_pretty(env: dict) -> str:
+def _emit_pretty(env: dict, out) -> None:
     payload = env["payload"]
-    head = (f"# {env['command']} {json.dumps(env['params'], sort_keys=True)} "
-            f"({env['provenance']})\n")
+    out.write(f"# {env['command']} {json.dumps(env['params'], sort_keys=True)} "
+              f"({env['provenance']})\n")
     if isinstance(payload, dict) and "rows" in payload:
-        return head + _matrix_pretty(payload)
-    if isinstance(payload, list) and payload and isinstance(payload[0], dict) and "rows" in payload[0]:
-        return head + "\n".join(_matrix_pretty(b) for b in payload)
-    if isinstance(payload, dict):
+        out.write(_matrix_pretty(payload))
+    elif isinstance(payload, list) and payload and isinstance(payload[0], dict) and "rows" in payload[0]:
+        out.write("\n".join(_matrix_pretty(b) for b in payload))
+    elif isinstance(payload, dict):
         width = max((len(str(k)) for k in payload), default=1)
-        body = "".join(f"{str(k).rjust(width)}  {v}\n" for k, v in payload.items())
-        return head + body
-    if isinstance(payload, list):
-        return head + "".join(
+        out.writelines(f"{str(k).rjust(width)}  {v}\n" for k, v in payload.items())
+    elif isinstance(payload, list):
+        out.writelines(
             (" ".join(str(x) for x in item) if isinstance(item, (list, tuple)) else str(item)) + "\n"
             for item in payload
         )
-    return head + f"{payload}\n"
+    else:
+        out.write(f"{payload}\n")
 
 
-def _emit(env: dict, fmt: str) -> str:
+def _emit(env: dict, fmt: str, out) -> None:
+    """Write env to out in the format fmt, piece by piece, never as one string."""
     if fmt == "json":
-        return _emit_json(env)
-    if fmt == "csv":
-        return _emit_csv(env)
-    return _emit_pretty(env)
+        _emit_json(env, out)
+    elif fmt == "csv":
+        _emit_csv(env, out)
+    else:
+        _emit_pretty(env, out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,9 +184,10 @@ def _run_tnum(args) -> dict:
         value = tnumbers.t_number(args.m, args.n, args.tau)
         return _envelope("tnum", {"m": args.m, "n": args.n, "tau": args.tau},
                          str(value), "closed-form")
-    dist = tnumbers.t_distribution(args.m, args.n)
-    return _envelope("tnum", {"m": args.m, "n": args.n},
-                     _dist_payload(dist.entries), "closed-form")
+    # decimal cells print in linear time, where str() of a long int is quadratic
+    with exactmath.exact_decimal(args.m + args.n) as one:
+        entries = tnumbers.t_distribution(args.m, args.n, one).entries
+    return _envelope("tnum", {"m": args.m, "n": args.n}, _dist_payload(entries), "closed-form")
 
 
 def _run_dist(args) -> dict:
@@ -353,7 +354,10 @@ def _run(parser: argparse.ArgumentParser, args) -> int:
             env = _run_asym(args)
         elif args.cmd == "verify":
             env, code = _run_verify(args)
-            out.write(_emit_json(env) if args.format != "pretty" else _emit_pretty_verify(env))
+            if args.format == "pretty":
+                out.write(_emit_pretty_verify(env))
+            else:
+                _emit_json(env, out)
             return code
         else:  # pragma: no cover - argparse enforces the choices
             parser.error(f"unknown command {args.cmd!r}")
@@ -363,7 +367,7 @@ def _run(parser: argparse.ArgumentParser, args) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    out.write(_emit(env, args.format))
+    _emit(env, args.format, out)
     return 0
 
 

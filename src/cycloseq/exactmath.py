@@ -5,18 +5,22 @@ factorials, Stirling numbers of the second kind, composition counts
 (ordered partitions, De Moivre numbers) and exact-part partition counts,
 the one checked exact division, and the checked sequence family (m, n)
 and digit pattern.  Everything here is a pure function of its arguments
-and exact at any magnitude; Python ints carry the arithmetic.
+and exact at any magnitude; Python ints carry the arithmetic, except where
+exact_decimal lends a row walk exact decimal cells that print in linear time.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, TypeVar
 
 from .errors import DegenerateFamily, InexactDivision, UnsupportedPattern
+
+Cell = TypeVar("Cell")  # int, or an integral Decimal under exact_decimal
 
 
 def binomial(a: int, b: int) -> int:
@@ -33,11 +37,12 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-def exact_div(num: int, den: int) -> int:
+def exact_div(num: Cell, den: int) -> Cell:
     """num / den for a division that the counting formulas guarantee to be exact.
 
     A remainder means a formula is wrong.  It raises InexactDivision, a
-    check that python -O keeps.
+    check that python -O keeps.  num may be an integral Decimal under
+    exact_decimal, whose divmod is just as exact.
     """
     q, r = divmod(num, den)
     if r:
@@ -45,18 +50,41 @@ def exact_div(num: int, den: int) -> int:
     return q
 
 
-def binomial_products(m: int, n: int) -> list[int]:
-    """The row C(m, h) C(n, h) for h = 0..min(m, n).
+def binomial_products(m: int, n: int, one: Cell = 1) -> list[Cell]:
+    """The row C(m, h) C(n, h) for h = 0..min(m, n), starting from the cell one.
 
     Walked by its exact ratio P(h+1) = P(h) (m-h)(n-h) / (h+1)^2, each step
-    a checked exact_div, so no cell needs fresh binomials.
+    a checked exact_div, so no cell needs fresh binomials.  The cells take
+    the type of one: ints by default, Decimals when one comes from
+    exact_decimal.
     """
     if m < 0 or n < 0:
         raise ValueError(f"binomial_products needs m, n >= 0, got ({m}, {n})")
-    row = [1]
+    row = [one]
     for h in range(min(m, n)):
         row.append(exact_div(row[-1] * (m - h) * (n - h), (h + 1) ** 2))
     return row
+
+
+@contextmanager
+def exact_decimal(N: int) -> Iterator:
+    """Decimal(1) in a context that holds every integer below N^2 2^N exactly.
+
+    CPython converts an int to decimal digits in quadratic time, a Decimal in
+    linear time, so a long row that is printed is cheaper walked in Decimals.
+    Every rounding, invalid operation, division by zero and overflow raises,
+    so a cell is either exact or an error, never rounded.
+    """
+    import decimal
+
+    bits = max(N, 1) + 2 * max(N, 1).bit_length()  # N^2 2^N < 2^bits < 10^(bits/3 + 1)
+    context = decimal.Context(
+        prec=min(bits // 3 + 2, decimal.MAX_PREC), Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+        traps=[decimal.Inexact, decimal.Rounded, decimal.InvalidOperation,
+               decimal.DivisionByZero, decimal.Overflow],
+    )
+    with decimal.localcontext(context):
+        yield decimal.Decimal(1)
 
 
 def falling_factorial(x: int, k: int) -> int:

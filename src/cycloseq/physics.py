@@ -42,7 +42,9 @@ def ising_partition_fixed(N: int, n: int, nu: float) -> float:
         raise ValueError(f"need N >= 1, got {N}")
     if not math.isfinite(nu):
         raise ValueError(f"nu must be finite, got {nu}")
-    if n <= 0 or n >= N:
+    if not 0 <= n <= N:
+        raise ValueError(f"n must lie in 0..{N}, got {n}")
+    if n == 0 or n == N:
         raise DegenerateFamily(
             f"n = {n} leaves a single aligned configuration with Z = exp({N}*nu)"
         )

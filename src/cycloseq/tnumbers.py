@@ -67,12 +67,16 @@ def t_number(m: int, n: int, tau: int) -> int:
     return exact_div((m + n) * h * binomial(m, h) * binomial(n, h), m * n)
 
 
-def t_distribution(m: int, n: int) -> CountDistribution:
-    """Full jump distribution of the family; degenerate families give {0: 1}."""
+def t_distribution(m: int, n: int, one=1) -> CountDistribution:
+    """Full jump distribution of the family; degenerate families give {0: one}.
+
+    The counts take the type of one, as in binomial_products: ints by
+    default, exact Decimals when one comes from exactmath.exact_decimal.
+    """
     family = SequenceFamily(m, n)
     if family.is_degenerate:
-        return CountDistribution(family, "tau", {0: 1})
-    N, row = m + n, binomial_products(m, n)
+        return CountDistribution(family, "tau", {0: one})
+    N, row = m + n, binomial_products(m, n, one)
     entries = {2 * h: exact_div(N * h * row[h], m * n) for h in range(1, len(row))}
     return CountDistribution(family, "tau", entries)
 

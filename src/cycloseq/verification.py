@@ -265,6 +265,9 @@ def typo_ledger(max_n: int = 12) -> list[dict]:
 
 
 def run_verify(max_n: int = 12) -> dict:
+    if max_n < 2:
+        # below N = 2 no check has a case, and zero cases would read as ok
+        raise ValueError(f"verify needs --max-N >= 2, got {max_n}")
     checks = run_equivalence_suite(max_n)
     ledger = typo_ledger(max_n)
     return {

@@ -34,6 +34,38 @@ def test_tnum_distribution(capsys):
     assert env["format_version"] == "1"
 
 
+def _tnum_output_matches_the_int_walk(capsys, m, n):
+    # the CLI walks the row in Decimals; the default int walk is the oracle
+    expected = [(str(k), str(v)) for k, v in sorted(tnumbers.t_distribution(m, n).entries.items())]
+    argv = ["tnum", "--m", str(m), "--n", str(n), "--format"]
+    env = run_json(capsys, *argv[:-1])
+    assert env["payload"] == dict(expected)
+    code, out, err = run(capsys, *argv, "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["index,value", *(f"{k},{v}" for k, v in expected)]
+    code, out, err = run(capsys, *argv, "pretty")
+    assert (code, err) == (0, "")
+    width = max(len(k) for k, _ in expected)
+    assert out.splitlines()[1:] == [f"{k.rjust(width)}  {v}" for k, v in expected]
+
+
+def test_tnum_prints_the_int_walk_on_every_small_family(capsys):
+    for m in range(26):
+        for n in range(26):
+            if m + n:
+                _tnum_output_matches_the_int_walk(capsys, m, n)
+
+
+@pytest.mark.parametrize("m, n", [(1, 4000), (4000, 1), (2050, 2080)])
+def test_tnum_prints_the_int_walk_on_large_families(capsys, m, n):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # the oracle's counts reach 1,240 digits
+    try:
+        _tnum_output_matches_the_int_walk(capsys, m, n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_tnum_point(capsys):
     env = run_json(capsys, "tnum", "--m", "5", "--n", "5", "--tau", "6")
     assert env["payload"] == "120"
@@ -176,12 +208,15 @@ def test_exactness_checks_survive_python_O():
     probe = subprocess.run(
         [sys.executable, "-O", "-c",
          "from cycloseq.errors import InexactDivision\n"
-         "from cycloseq.exactmath import exact_div\n"
-         "try:\n    exact_div(7, 2)\nexcept InexactDivision:\n    print('raised')"],
+         "from cycloseq.exactmath import exact_decimal, exact_div\n"
+         "try:\n    exact_div(7, 2)\nexcept InexactDivision:\n    print('raised')\n"
+         "with exact_decimal(10) as one:\n"
+         "    try:\n        exact_div(7 * one, 2)\n    except InexactDivision:\n"
+         "        print('raised on a decimal')"],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert probe.returncode == 0, probe.stderr
-    assert probe.stdout == "raised\n"
+    assert probe.stdout == "raised\nraised on a decimal\n"
     verify = subprocess.run(
         [sys.executable, "-O", "-m", "cycloseq.cli", "verify", "--max-N", "8", "--format", "json"],
         capture_output=True, text=True, env=env, timeout=120,
@@ -260,6 +295,16 @@ def test_walk_refuses_alpha_outside_the_unit_interval(capsys, alpha):
 def test_ising_refuses_a_non_finite_coupling(capsys, mode, nu):
     code, out, err = run(capsys, "ising", *mode, "--N", "4", "--nu", nu)
     assert (code, out, err) == (2, "", f"usage error: nu must be finite, got {nu}\n")
+
+
+@pytest.mark.parametrize("n, code, err", [
+    ("-1", 2, "usage error: n must lie in 0..5, got -1\n"),
+    ("7", 2, "usage error: n must lie in 0..5, got 7\n"),
+    ("0", 3, "error: n = 0 leaves a single aligned configuration with Z = exp(5*nu)\n"),
+    ("5", 3, "error: n = 5 leaves a single aligned configuration with Z = exp(5*nu)\n"),
+])
+def test_ising_fixed_refuses_n_outside_the_ring_as_usage(capsys, n, code, err):
+    assert run(capsys, "ising", "fixed", "--N", "5", "--n", n, "--nu", "1") == (code, "", err)
 
 
 @pytest.mark.parametrize("tau", ["-2", "-1"])
@@ -447,6 +492,19 @@ def test_verify_small(capsys):
     assert "marginal-001-prefactor" in ids
     code, out, _ = run(capsys, "verify", "--max-N", "6")
     assert code == 0 and "typo ledger:" in out
+
+
+@pytest.mark.parametrize("max_n", ["-3", "0", "1"])
+@pytest.mark.parametrize("fmt", ["json", "pretty"])
+def test_verify_refuses_a_bound_that_compares_no_family(capsys, max_n, fmt):
+    assert run(capsys, "verify", "--max-N", max_n, "--format", fmt) == (
+        2, "", f"usage error: verify needs --max-N >= 2, got {max_n}\n")
+
+
+def test_verify_runs_cases_in_every_check_from_n2(capsys):
+    report = run_json(capsys, "verify", "--max-N", "2")["payload"]
+    assert report["all_equivalent"] is True
+    assert all(check["cases"] > 0 for check in report["checks"])
 
 
 def test_verify_does_not_confirm_ledger_items_it_did_not_check(capsys):

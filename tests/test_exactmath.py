@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import pytest
@@ -11,6 +12,7 @@ from cycloseq.exactmath import (
     binomial_products,
     compositions,
     demoivre,
+    exact_decimal,
     exact_div,
     falling_factorial,
     partition_count,
@@ -152,6 +154,33 @@ def test_exact_div():
     # a remainder is a defect of the engine, never a usage or domain error
     assert issubclass(InexactDivision, ArithmeticError)
     assert not issubclass(InexactDivision, (DomainError, ValueError))
+
+
+def test_exact_div_keeps_its_check_on_decimal_cells():
+    with exact_decimal(10) as one:
+        assert exact_div(42 * one, 6) == 7
+        with pytest.raises(InexactDivision):
+            exact_div(7 * one, 2)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 10, 100, 2000])
+def test_exact_decimal_holds_every_integer_below_its_bound(N):
+    bound = N * N << N
+    with exact_decimal(N) as one:
+        assert str(one * bound) == str(bound)
+        assert str(exact_div(one * bound, N * N)) == str(1 << N)
+        # one digit past the precision rounds, and rounding raises
+        with pytest.raises(decimal.Rounded):
+            one * 10 ** decimal.getcontext().prec
+    assert decimal.getcontext().prec == decimal.DefaultContext.prec  # restored
+
+
+def test_binomial_products_walk_decimal_cells_to_the_same_row():
+    for m, n in [(0, 5), (7, 3), (25, 25), (300, 410)]:
+        with exact_decimal(m + n) as one:
+            row = binomial_products(m, n, one)
+        assert all(isinstance(cell, decimal.Decimal) for cell in row)
+        assert [str(cell) for cell in row] == [str(cell) for cell in binomial_products(m, n)]
 
 
 def test_binomial_products_walk_the_row():

@@ -64,6 +64,12 @@ def test_fixed_degenerate():
         ising_partition_fixed(6, 6, 0.3)
 
 
+@pytest.mark.parametrize("n", [-1, 7, 12])
+def test_fixed_refuses_n_outside_the_ring(n):
+    with pytest.raises(ValueError, match=rf"^n must lie in 0\.\.6, got {n}$"):
+        ising_partition_fixed(6, n, 0.3)
+
+
 @pytest.mark.parametrize("N", range(1, 13))
 @pytest.mark.parametrize("nu", [0.1, 0.5, 1.0])
 def test_total_matches_enumeration(N, nu):
