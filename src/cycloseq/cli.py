@@ -100,7 +100,7 @@ def _emit_pretty(env: dict, out) -> None:
 
 
 def _emit(env: dict, fmt: str, out) -> None:
-    """Write env to out in the format fmt, piece by piece, never as one string."""
+    """Write env to out in the format fmt as it is encoded, not first built as one string."""
     if fmt == "json":
         _emit_json(env, out)
     elif fmt == "csv":

@@ -58,12 +58,7 @@ def test_tnum_prints_the_int_walk_on_every_small_family(capsys):
 
 @pytest.mark.parametrize("m, n", [(1, 4000), (4000, 1), (2050, 2080)])
 def test_tnum_prints_the_int_walk_on_large_families(capsys, m, n):
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)  # the oracle's counts reach 1,240 digits
-    try:
-        _tnum_output_matches_the_int_walk(capsys, m, n)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    _tnum_output_matches_the_int_walk(capsys, m, n)
 
 
 def test_tnum_point(capsys):
