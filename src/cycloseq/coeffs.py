@@ -21,6 +21,7 @@ remainders, and everything that feeds sequence counting uses it; `c_coeff` is
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
 
@@ -133,6 +134,24 @@ def c_dim_enumerated(s: int, i: int, j: int, k: int) -> int:
         for comp in compositions(i, j)
         if sum(1 for part in comp if part > drop) == k
     )
+
+
+def c_dim_census(s: int, top: int) -> dict[tuple[int, int, int], int]:
+    """c_dim_enumerated(s, i, j, k) at every i <= top, from one walk over the compositions.
+
+    The compositions with j parts are those with j - 1 parts and one part
+    appended; each one of every i <= top, the empty one included, is built
+    once and tallied by (i, parts j, parts longer than s+1 k).  A cell not
+    listed is zero.
+    """
+    drop = s + 1
+    counts = Counter({(0, 0, 0): 1})
+    level, j = [(0, 0)], 0  # (i, k) of each composition with j parts
+    while level:
+        j += 1
+        level = [(i + part, k + (part > drop)) for i, k in level for part in range(1, top - i + 1)]
+        counts.update((i, j, k) for i, k in level)
+    return counts
 
 
 def c_weight_enumerated(s: int, m: int, g: int, h: int) -> int:

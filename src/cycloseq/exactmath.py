@@ -3,17 +3,17 @@
 Binomials and the row of binomial products C(m, h) C(n, h), falling
 factorials, Stirling numbers of the second kind, composition counts
 (ordered partitions, De Moivre numbers) and exact-part partition counts,
-the one checked exact division, and the checked sequence family (m, n)
-and digit pattern.  Everything here is a pure function of its arguments
-and exact at any magnitude; Python ints carry the arithmetic, except where
-exact_decimal lends a row walk exact decimal cells that print in linear time.
+the one checked exact division, the checked sequence family (m, n) and
+digit pattern, and the immutable Record the value types are built on.
+Every function here is a pure function of its arguments and exact at any
+magnitude; Python ints carry the arithmetic, except where exact_decimal
+lends a row walk exact decimal cells that print in linear time.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, TypeVar
@@ -161,16 +161,59 @@ def partitions_exact(w: int, h: int, _max: int | None = None) -> Iterator[tuple[
             yield (first,) + rest
 
 
-@dataclass(frozen=True)
-class SequenceFamily:
+class Record:
+    """An immutable value whose fields are the __slots__ of its class.
+
+    It compares equal only to a record of its own class with equal fields,
+    hashes and prints by its fields and refuses assignment, as a frozen
+    dataclass does, without importing dataclasses (which loads inspect, ast
+    and dis).  A subclass that checks its fields does so in __init__ before
+    passing them on.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *fields) -> None:
+        if len(fields) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes the fields {self.__slots__}")
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild a record through its checks, not by assignment
+        return type(self), self._fields()
+
+
+class SequenceFamily(Record):
     """The pair (m zeros, n ones) classifying the C(m+n, n) cyclic sequences."""
 
-    m: int
-    n: int
+    __slots__ = ("m", "n")
 
-    def __post_init__(self) -> None:
-        if self.m < 0 or self.n < 0 or self.m + self.n < 1:
-            raise ValueError(f"need m, n >= 0 and m + n >= 1, got ({self.m}, {self.n})")
+    def __init__(self, m: int, n: int) -> None:
+        if m < 0 or n < 0 or m + n < 1:
+            raise ValueError(f"need m, n >= 0 and m + n >= 1, got ({m}, {n})")
+        super().__init__(m, n)
 
     @property
     def N(self) -> int:

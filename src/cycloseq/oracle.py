@@ -5,11 +5,13 @@ count the oracle takes is cyclic, so it is the same on all rotations of a
 word: `rotation_classes` visits one word per rotation class, by the
 Fredricksen-Kessler-Maiorana rule restricted to m zeros and n ones, and
 `tally` weights each key by its class size.  The sizes must sum to
-C(m+n, n), or the enumeration raises `IncompleteEnumeration`.  Cyclic
-windows are extracted by doubling the word and masking.  `pattern_census`
-reads the requested patterns off one sweep of window profiles.  The default
-size cap N <= 20 keeps words within a machine word and runtimes bounded;
-CYCLOSEQ_ORACLE_CAP overrides it.
+C(m+n, n), or the enumeration raises `IncompleteEnumeration`.  Every
+distribution enumerates its family afresh unless it is given the family's
+classes from an earlier sweep, so a caller that tallies one family several
+times enumerates it once.  Cyclic windows are extracted by doubling the word
+and masking.  `pattern_census` reads the requested patterns off one sweep of
+window profiles.  The default size cap N <= 20 keeps words within a machine
+word and runtimes bounded; CYCLOSEQ_ORACLE_CAP overrides it.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ def oracle_cap() -> int:
         raise ValueError(f"CYCLOSEQ_ORACLE_CAP must be an integer, got {raw!r}") from None
 
 
-def _check_cap(N: int) -> None:
+def check_cap(N: int) -> None:
+    """Refuse a family of length N above the oracle cap (CapExceeded) or below 1."""
     cap = oracle_cap()
     if N > cap:
         raise CapExceeded(f"N = {N} exceeds the oracle cap {cap}")
@@ -46,7 +49,7 @@ def sequences(m: int, n: int) -> Iterator[int]:
     """All words with m zeros and n ones, one by one: the reference for `rotation_classes`."""
     SequenceFamily(m, n)  # refuses negative digit counts, not constant families
     N = m + n
-    _check_cap(N)
+    check_cap(N)
     yield from map(sum, combinations([1 << p for p in range(N)], n))
 
 
@@ -59,7 +62,7 @@ def rotation_classes(m: int, n: int) -> Iterator[tuple[int, int]]:
     """
     family = SequenceFamily(m, n)
     N = family.N
-    _check_cap(N)
+    check_cap(N)
     covered = 0
     stack = [(0, 1, 0, m, n)]  # digits placed, period, word, zeros left, ones left
     while stack:
@@ -144,22 +147,33 @@ def tally(classes: Iterable[tuple[int, int]], key: Callable[[int], Hashable]) ->
     return dict(sorted(counts.items()))
 
 
-def jump_distribution(m: int, n: int) -> dict[int, int]:
-    return tally(rotation_classes(m, n), lambda word: jump_count(word, m + n))
+Classes = Iterable[tuple[int, int]]
 
 
-def pattern_distribution(m: int, n: int, pattern: str) -> dict[int, int]:
-    _check_cap(m + n)  # an over-cap family is refused before its pattern is read
-    return tally(rotation_classes(m, n), _occurrence_counter(m + n, pattern))
+def _swept(m: int, n: int, classes: Classes | None) -> Classes:
+    """The given classes of the family (m, n), or a fresh sweep of it."""
+    return rotation_classes(m, n) if classes is None else classes
 
 
-def joint_distribution(m: int, n: int, patterns: Iterable[str]) -> dict[tuple[int, ...], int]:
-    _check_cap(m + n)
+def jump_distribution(m: int, n: int, classes: Classes | None = None) -> dict[int, int]:
+    return tally(_swept(m, n, classes), lambda word: jump_count(word, m + n))
+
+
+def pattern_distribution(m: int, n: int, pattern: str,
+                         classes: Classes | None = None) -> dict[int, int]:
+    check_cap(m + n)  # an over-cap family is refused before its pattern is read
+    return tally(_swept(m, n, classes), _occurrence_counter(m + n, pattern))
+
+
+def joint_distribution(m: int, n: int, patterns: Iterable[str],
+                       classes: Classes | None = None) -> dict[tuple[int, ...], int]:
+    check_cap(m + n)
     counters = [_occurrence_counter(m + n, p) for p in patterns]
-    return tally(rotation_classes(m, n), lambda word: tuple(count(word) for count in counters))
+    return tally(_swept(m, n, classes), lambda word: tuple(count(word) for count in counters))
 
 
-def pattern_census(m: int, n: int, patterns: Iterable[str]) -> dict[str, dict[int, int]]:
+def pattern_census(m: int, n: int, patterns: Iterable[str],
+                   classes: Classes | None = None) -> dict[str, dict[int, int]]:
     """Occurrence distributions of the requested patterns, in one sweep.
 
     Each word is tallied by its profile, the counts of its N cyclic windows of
@@ -167,7 +181,7 @@ def pattern_census(m: int, n: int, patterns: Iterable[str]) -> dict[str, dict[in
     a window starts with it, so every distribution is read off the profiles.
     """
     N = m + n
-    _check_cap(N)
+    check_cap(N)
     patterns = [parse_pattern(p) for p in patterns]
     width = max(map(len, patterns), default=0)
     if width > N:
@@ -181,7 +195,7 @@ def pattern_census(m: int, n: int, patterns: Iterable[str]) -> dict[str, dict[in
             counts[(doubled >> i) & mask] += 1
         return tuple(counts)
 
-    profiles = tally(rotation_classes(m, n), profile)
+    profiles = tally(_swept(m, n, classes), profile)
     out: dict[str, dict[int, int]] = {}
     for pattern in patterns:
         value, step = int(pattern[::-1], 2), 1 << len(pattern)
@@ -192,6 +206,6 @@ def pattern_census(m: int, n: int, patterns: Iterable[str]) -> dict[str, dict[in
     return out
 
 
-def type_census(m: int, n: int) -> dict[SequenceType, int]:
-    return tally(rotation_classes(m, n), lambda word: type_signature(word, m + n))
+def type_census(m: int, n: int, classes: Classes | None = None) -> dict[SequenceType, int]:
+    return tally(_swept(m, n, classes), lambda word: type_signature(word, m + n))
 

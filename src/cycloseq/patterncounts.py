@@ -21,23 +21,23 @@ joint tables (`_joint`) keep the terms of that sum apart.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import UnsupportedPattern
 from .exactmath import (
-    SequenceFamily, binomial, demoivre, exact_div, nondegenerate_family, parse_pattern,
+    Record, binomial, demoivre, exact_div, nondegenerate_family, parse_pattern,
 )
 from .coeffs import c_general, c_tableau, c_weight_tableau
 from .tnumbers import CountDistribution
 
 
-@dataclass(frozen=True)
-class JointDistribution:
-    """Exact joint occurrence counts for several patterns at once."""
+class JointDistribution(Record):
+    """Exact joint occurrence counts for several patterns at once.
 
-    family: SequenceFamily
-    patterns: tuple[str, ...]
-    entries: dict[tuple[int, ...], int]
+    Fields: family (a SequenceFamily), patterns (a tuple of strings) and
+    entries, the dict from a tuple of occurrence counts, one per pattern,
+    to the number of sequences.
+    """
+
+    __slots__ = ("family", "patterns", "entries")
 
     @property
     def total(self) -> int:
@@ -114,14 +114,28 @@ def _no_closed_form(pattern: str) -> UnsupportedPattern:
     return UnsupportedPattern(f"no closed form for pattern {pattern!r}; use the oracle for it")
 
 
+def pattern_counter(m: int, n: int, pattern: str):
+    """The count h -> sequences of the family with h cyclic occurrences of the pattern.
+
+    The query is checked and its closed form looked up once, so a caller
+    that counts many h pays for that once.  A negative h counts nothing; an
+    unsolved pattern raises when it is counted.
+    """
+    _, count = _resolve(m, n, pattern)
+
+    def counter(h: int) -> int:
+        if h < 0:
+            return 0
+        if count is None:
+            raise _no_closed_form(pattern)
+        return count(m, n, h)
+
+    return counter
+
+
 def count_pattern(m: int, n: int, pattern: str, h: int) -> int:
     """Exact number of sequences of the family with h cyclic occurrences of the pattern."""
-    _, count = _resolve(m, n, pattern)
-    if h < 0:
-        return 0
-    if count is None:
-        raise _no_closed_form(pattern)
-    return count(m, n, h)
+    return pattern_counter(m, n, pattern)(h)
 
 
 def pattern_distribution(m: int, n: int, pattern: str) -> CountDistribution:

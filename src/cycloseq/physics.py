@@ -11,9 +11,9 @@ count * x^tau * y^(N - tau), taken in the log domain from the exact counts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DegenerateFamily, InvalidDisplacement, within_double_range
+from .exactmath import Record
 from .tnumbers import t_distribution
 
 
@@ -62,13 +62,14 @@ def ising_partition_total(N: int, nu: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class WalkPolynomial:
-    """Path counts of fixed displacement, split by number of direction changes."""
+class WalkPolynomial(Record):
+    """Path counts of fixed displacement, split by number of direction changes.
 
-    N: int
-    k: int
-    coefficients: dict[int, int]  # direction-change count -> path count
+    Fields: N steps, displacement k and coefficients, the dict from
+    direction-change count to path count.
+    """
+
+    __slots__ = ("N", "k", "coefficients")
 
     def scalar(self, alpha: float) -> float:
         """Total memory weight: sum of count * alpha^changes * (1-alpha)^(N-changes).

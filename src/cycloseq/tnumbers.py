@@ -12,21 +12,23 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from functools import total_ordering
 
 from .errors import InvalidTau
 from .exactmath import (
-    SequenceFamily, binomial, binomial_products, exact_div, nondegenerate_family, partitions_exact,
+    Record, SequenceFamily, binomial, binomial_products, exact_div, nondegenerate_family,
+    partitions_exact,
 )
 
 
-@dataclass(frozen=True)
-class CountDistribution:
-    """Exact map from an integer index to a count, with declared index semantics."""
+class CountDistribution(Record):
+    """Exact map from an integer index to a count, with declared index semantics.
 
-    family: SequenceFamily
-    index_kind: str  # "tau" | "occurrences" | "weight"
-    entries: dict[int, int]
+    Fields: family (a SequenceFamily), index_kind ("tau", "occurrences" or
+    "weight") and entries, the dict from index to count.
+    """
+
+    __slots__ = ("family", "index_kind", "entries")
 
     @property
     def total(self) -> int:
@@ -36,16 +38,24 @@ class CountDistribution:
         return self.entries.get(index, 0)
 
 
-@dataclass(frozen=True, order=True)
-class SequenceType:
-    """Descending block-length partitions of the zero runs and the one runs."""
+@total_ordering
+class SequenceType(Record):
+    """Descending block-length partitions of the zero runs and the one runs.
 
-    zero_blocks: tuple[int, ...]
-    one_blocks: tuple[int, ...]
+    Types order by (zero_blocks, one_blocks).
+    """
 
-    def __post_init__(self) -> None:
-        if len(self.zero_blocks) != len(self.one_blocks):
+    __slots__ = ("zero_blocks", "one_blocks")
+
+    def __init__(self, zero_blocks: tuple[int, ...], one_blocks: tuple[int, ...]) -> None:
+        if len(zero_blocks) != len(one_blocks):
             raise ValueError("zero and one partitions must share their height")
+        super().__init__(zero_blocks, one_blocks)
+
+    def __lt__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() < other._fields()
 
     @property
     def height(self) -> int:

@@ -9,13 +9,18 @@ moment pairs, the live formulas against the slip catalogs and the frozen
 computed values).  Every suite check and every ledger verdict is one `_check`
 over (case, closed, oracle) comparisons, and the pattern counts of both come
 from one `_pattern_comparisons` over a census of the requested patterns.
+
+`run_verify` does each piece of work once: it refuses a family over the
+oracle cap before any sweep, enumerates each family once and lets every
+tally of it read those classes, looks up each pattern's closed form once per
+family, and walks the compositions for the deletion matrix once.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
 from math import comb
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import analytics, coeffs, oracle, patterncounts, tnumbers
 from .reference_tables import (
@@ -39,9 +44,32 @@ SOLVED_UP_TO_4 = [
 ]
 
 
+# the ledger's families that no size bound limits
+MARGINAL_001_FAMILIES = ((4, 4), (5, 3), (6, 3), (3, 6))
+RUN_PAIR_FAMILIES = tuple((m, n) for m in range(1, 7) for n in range(1, 7) if m + n >= 3)
+
+ClassesOf = Callable[[int, int], list]
+
+
 def _families(max_n: int) -> list[tuple[int, int]]:
     """Every nondegenerate family (m, n) with m + n <= max_n."""
     return [(m, N - m) for N in range(2, max_n + 1) for m in range(1, N)]
+
+
+def _sweeps() -> ClassesOf:
+    """classes(m, n): the family's rotation classes, enumerated on first use and kept.
+
+    One verify run shares one of these, so every tally of a family reads one
+    sweep of it; the classes go when the run does.
+    """
+    swept: dict[tuple[int, int], list] = {}
+
+    def classes(m: int, n: int) -> list:
+        if (m, n) not in swept:
+            swept[m, n] = list(oracle.rotation_classes(m, n))
+        return swept[m, n]
+
+    return classes
 
 
 def _check(name: str, max_n: int, comparisons: Iterable[tuple[dict, object, object]]) -> dict:
@@ -55,14 +83,15 @@ def _check(name: str, max_n: int, comparisons: Iterable[tuple[dict, object, obje
     return {"name": name, "max_n": max_n, "cases": cases, "failures": failures, "ok": not failures}
 
 
-def _pattern_comparisons(max_n: int, patterns: list[str]):
+def _pattern_comparisons(max_n: int, patterns: list[str], classes: ClassesOf):
     """Every occurrence count of the patterns shorter than N, and one more, on every family."""
     for m, n in _families(max_n):
-        census = oracle.pattern_census(m, n, [p for p in patterns if len(p) < m + n])
+        census = oracle.pattern_census(m, n, [p for p in patterns if len(p) < m + n],
+                                       classes=classes(m, n))
         for pattern, expected in census.items():
+            count = patterncounts.pattern_counter(m, n, pattern)
             for h in range(max(expected) + 2):
-                yield ({"m": m, "n": n, "pattern": pattern, "h": h},
-                       patterncounts.count_pattern(m, n, pattern, h), expected.get(h, 0))
+                yield ({"m": m, "n": n, "pattern": pattern, "h": h}, count(h), expected.get(h, 0))
 
 
 def _census(pairs) -> list[tuple]:
@@ -70,19 +99,21 @@ def _census(pairs) -> list[tuple]:
     return sorted((t.zero_blocks, t.one_blocks, mult) for t, mult in pairs)
 
 
-def run_equivalence_suite(max_n: int = 12) -> list[dict]:
+def run_equivalence_suite(max_n: int = 12, classes: ClassesOf | None = None) -> list[dict]:
     """Closed form vs enumeration for every family with N <= max_n.
 
     The all-words check compares the closed jump counts with 2 C(N, tau), the
-    number of all 2^N words with tau jumps.
+    number of all 2^N words with tau jumps.  classes(m, n) gives each
+    family's rotation classes; by default each family is swept once here.
     """
+    classes = classes or _sweeps()
     totals_n, census_n = max(max_n, 14), min(max_n, 10)
     return [
         _check("pattern closed forms vs enumeration", max_n,
-               _pattern_comparisons(max_n, SOLVED_UP_TO_4)),
+               _pattern_comparisons(max_n, SOLVED_UP_TO_4, classes)),
         _check("jump distributions vs enumeration", max_n, (
             ({"m": m, "n": n}, tnumbers.t_distribution(m, n).entries,
-             oracle.jump_distribution(m, n))
+             oracle.jump_distribution(m, n, classes=classes(m, n)))
             for m, n in _families(max_n))),
         _check("all-words jump totals are 2 C(N, tau)", totals_n, (
             ({"N": N, "tau": tau}, sum(tnumbers.t_number(m, N - m, tau) for m in range(1, N)),
@@ -90,7 +121,7 @@ def run_equivalence_suite(max_n: int = 12) -> list[dict]:
             for N in range(1, totals_n + 1) for tau in range(2, N + 1, 2))),
         _check("type census vs enumeration", census_n, (
             ({"m": m, "n": n}, _census(tnumbers.type_census(m, n)),
-             _census(oracle.type_census(m, n).items()))
+             _census(oracle.type_census(m, n, classes=classes(m, n)).items()))
             for m, n in _families(census_n))),
     ]
 
@@ -133,12 +164,12 @@ def _judged_slips(item: dict, max_n: int, published: dict, live: dict, cataloged
                    f"cells off by more than 0.01: {sorted(cataloged)}, as cataloged")
 
 
-def _corner_cells(max_n: int):
+def _corner_cells(max_n: int, classes: ClassesOf):
     """Aligned corner cells (h, m - h, 0) of the (01;001;0001) joint table."""
     for m in range(2, 9):
         for n in range(max(1, 5 - m), min(8, max_n - m) + 1):
             closed = patterncounts.triple_01_001_0001(m, n).entries
-            brute = oracle.joint_distribution(m, n, ["01", "001", "0001"])
+            brute = oracle.joint_distribution(m, n, ["01", "001", "0001"], classes=classes(m, n))
             for h in range((m + 1) // 2, min(m, n) + 1):
                 key = (h, m - h, 0)
                 yield {"m": m, "n": n, "cell": list(key)}, closed.get(key, 0), brute.get(key, 0)
@@ -148,10 +179,15 @@ def _nonzero(d: dict[int, int]) -> dict[int, int]:
     return {k: v for k, v in d.items() if v}
 
 
-def typo_ledger(max_n: int = 12) -> list[dict]:
-    """Verdicts on every cataloged inconsistency in the published material."""
+def typo_ledger(max_n: int = 12, classes: ClassesOf | None = None) -> list[dict]:
+    """Verdicts on every cataloged inconsistency in the published material.
+
+    classes(m, n) gives each family's rotation classes, as in
+    run_equivalence_suite.
+    """
+    classes = classes or _sweeps()
     marginal = patterncounts.joint_01_001(4, 4).marginal(1)
-    brute = oracle.pattern_distribution(4, 4, "001")
+    brute = oracle.pattern_distribution(4, 4, "001", classes=classes(4, 4))
     items = [
         _judged({
             "id": "joint-001-marginal-extra-cell",
@@ -166,7 +202,7 @@ def typo_ledger(max_n: int = 12) -> list[dict]:
             "location": "aligned corner of the (01;001;0001) joint formula",
             "published_reading": "binomial argument n - m - h (negative whenever it matters)",
             "corrected_reading": "binomial argument n - m + h",
-        }, max_n, _corner_cells(max_n), "sign corrected",
+        }, max_n, _corner_cells(max_n, classes), "sign corrected",
             "corner cells match enumeration with the + sign"),
         _judged({
             "id": "deletion-chain-direction",
@@ -174,7 +210,7 @@ def typo_ledger(max_n: int = 12) -> list[dict]:
             "published_reading": "chain written ascending toward the (01) count",
             "corrected_reading": "the (01) count bounds the chain from above, "
                                  "descending to the innermost index",
-        }, max_n, _pattern_comparisons(min(max_n, 10), ["0001", "00001"]),
+        }, max_n, _pattern_comparisons(min(max_n, 10), ["0001", "00001"], classes),
             "descending order confirmed",
             "restricted-composition closed form matches enumeration for 0001 and 00001; "
             "tests/test_coeffs.py checks that form against the descending chain"),
@@ -185,8 +221,8 @@ def typo_ledger(max_n: int = 12) -> list[dict]:
             "corrected_reading": "per-term weight N/h, equivalently (N/n) C(n,h) inside the sum",
         }, max_n, (
             ({"m": m, "n": n}, _nonzero(patterncounts.pattern_distribution(m, n, "001").entries),
-             _nonzero(oracle.pattern_distribution(m, n, "001")))
-            for m, n in ((4, 4), (5, 3), (6, 3), (3, 6))
+             _nonzero(oracle.pattern_distribution(m, n, "001", classes=classes(m, n))))
+            for m, n in MARGINAL_001_FAMILIES
         ), "prefactor canonicalized", "canonical form matches enumeration"),
         _judged({
             "id": "run-pair-identity",
@@ -195,9 +231,9 @@ def typo_ledger(max_n: int = 12) -> list[dict]:
             "corrected_reading": "equality holds across digit swap: "
                                  "(00) on (m,n) matches (11) on (n,m)",
         }, max_n, (
-            ({"m": m, "n": n}, oracle.pattern_distribution(m, n, "00"),
-             oracle.pattern_distribution(n, m, "11"))
-            for m in range(1, 7) for n in range(1, 7) if m + n >= 3
+            ({"m": m, "n": n}, oracle.pattern_distribution(m, n, "00", classes=classes(m, n)),
+             oracle.pattern_distribution(n, m, "11", classes=classes(n, m)))
+            for m, n in RUN_PAIR_FAMILIES
         ), "identity holds under digit swap only", "swap identity verified by enumeration"),
     ]
 
@@ -215,6 +251,7 @@ def typo_ledger(max_n: int = 12) -> list[dict]:
                    (cell, defect["corrected"], enumerated)], "published cell corrected"))
 
     k0 = {(i, j): coeffs.c_general(1, i, j, 0) for i in range(1, 13) for j in range(1, 12)}
+    enumerated = coeffs.c_dim_census(1, 12)
     omitted = sum(1 for (i, j), v in k0.items() if v and j != i - 1)
     items.append(_judged({
         "id": "cprime-k0-matrix-omissions",
@@ -222,7 +259,7 @@ def typo_ledger(max_n: int = 12) -> list[dict]:
         "published_reading": "only the first subdiagonal is printed",
         "corrected_reading": f"{omitted} further nonzero cells from the closed form",
     }, max_n, (
-        ({"i": i, "j": j}, v, coeffs.c_dim_enumerated(1, i, j, 0)) for (i, j), v in k0.items()
+        ({"i": i, "j": j}, v, enumerated[i, j, 0]) for (i, j), v in k0.items()
     ), "published matrix incomplete", "closed form matches column-deletion enumeration"))
 
     scale = comb(10, 5)
@@ -268,8 +305,14 @@ def run_verify(max_n: int = 12) -> dict:
     if max_n < 2:
         # below N = 2 no check has a case, and zero cases would read as ok
         raise ValueError(f"verify needs --max-N >= 2, got {max_n}")
-    checks = run_equivalence_suite(max_n)
-    ledger = typo_ledger(max_n)
+    # an over-cap family is refused before any sweep, naming the first one the
+    # checks reach: the suite's N = 2..max_n in turn, then the ledger's own families
+    ledger_lengths = (m + n for m, n in MARGINAL_001_FAMILIES + RUN_PAIR_FAMILIES)
+    for N in chain(range(2, max_n + 1), ledger_lengths):
+        oracle.check_cap(N)
+    classes = _sweeps()
+    checks = run_equivalence_suite(max_n, classes)
+    ledger = typo_ledger(max_n, classes)
     return {
         "max_n": max_n,
         "checks": checks,

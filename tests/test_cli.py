@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import cycloseq
-from cycloseq import patterncounts, tnumbers, verification
+from cycloseq import oracle, patterncounts, tnumbers, verification
 from cycloseq.cli import main
 
 SRC = str(Path(cycloseq.__file__).resolve().parent.parent)
@@ -184,7 +184,8 @@ def test_no_assert_statements_in_the_package():
 
 @pytest.mark.parametrize("module, absent", [
     ("cycloseq.cli", ["cycloseq.analytics", "cycloseq.oracle", "cycloseq.verification",
-                      "cycloseq.reference_tables", "fractions", "decimal"]),
+                      "cycloseq.reference_tables", "fractions", "decimal", "dataclasses",
+                      "inspect"]),
     ("cycloseq.oracle", ["cycloseq.patterncounts", "cycloseq.coeffs"]),
 ])
 def test_a_fresh_import_loads_only_what_the_module_calls(module, absent):
@@ -475,7 +476,7 @@ def test_csv_format(capsys):
     assert lines[2] == "2,7"
 
 
-def test_verify_small(capsys):
+def test_verify_small(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--max-N", "6", "--format", "json")
     assert code == 0
     report = json.loads(out)["payload"]
@@ -487,6 +488,25 @@ def test_verify_small(capsys):
     assert "marginal-001-prefactor" in ids
     code, out, _ = run(capsys, "verify", "--max-N", "6")
     assert code == 0 and "typo ledger:" in out
+    # a bound over the oracle cap is refused before any family is swept or listed
+    swept = []
+    monkeypatch.setattr(oracle, "rotation_classes", lambda m, n: swept.append((m, n)) or iter(()))
+    for max_n in ("21", str(10**12)):
+        assert run(capsys, "verify", "--max-N", max_n) == (
+            3, "", "error: N = 21 exceeds the oracle cap 20\n")
+    assert swept == []
+
+
+@pytest.mark.parametrize("cap, max_n, first", [
+    ("1", "4", 2), ("5", "9", 6), ("5", "4", 8), ("8", "4", 9), ("9", "13", 10), ("11", "4", 12),
+])
+def test_verify_names_the_first_over_cap_family_it_would_reach(capsys, monkeypatch, cap, max_n,
+                                                              first):
+    # the suite reaches N = 2..max_n in turn and the ledger's own families
+    # (N = 8..12) after it; the refusal names the first over the cap
+    monkeypatch.setenv("CYCLOSEQ_ORACLE_CAP", cap)
+    assert run(capsys, "verify", "--max-N", max_n) == (
+        3, "", f"error: N = {first} exceeds the oracle cap {cap}\n")
 
 
 @pytest.mark.parametrize("max_n", ["-3", "0", "1"])
@@ -527,8 +547,11 @@ def test_verify_confirms_bounded_ledger_items_from_n5(capsys):
         "restricted-composition closed form matches enumeration")
 
 
-def _bump_count_pattern(real):
-    return lambda m, n, p, h: real(m, n, p, h) + ((m, n, p, h) == (2, 1, "0", 2))
+def _bump_pattern_counter(real):
+    def patched(m, n, p):
+        count = real(m, n, p)
+        return lambda h: count(h) + ((m, n, p, h) == (2, 1, "0", 2))
+    return patched
 
 
 def _bump_t_distribution(real):
@@ -555,7 +578,7 @@ def _bump_type_census(real):
 
 
 @pytest.mark.parametrize("module, name, bump, check, case", [
-    (patterncounts, "count_pattern", _bump_count_pattern,
+    (patterncounts, "pattern_counter", _bump_pattern_counter,
      "pattern closed forms vs enumeration", {"m": 2, "n": 1, "pattern": "0", "h": 2}),
     (tnumbers, "t_distribution", _bump_t_distribution,
      "jump distributions vs enumeration", {"m": 2, "n": 3}),

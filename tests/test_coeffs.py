@@ -5,6 +5,7 @@ from cycloseq.coeffs import (
     appendix_cell_enumerated,
     appendix_tables,
     c_coeff,
+    c_dim_census,
     c_dim_enumerated,
     c_general,
     c_tableau,
@@ -136,6 +137,16 @@ def test_c_general_deep_chain():
     # three extra deletions, spot-checked against direct enumeration
     for i, j, k in [(9, 2, 0), (10, 2, 1), (12, 3, 2), (8, 2, 0)]:
         assert c_general(3, i, j, k) == c_dim_enumerated(3, i, j, k)
+
+
+def test_one_composition_walk_matches_column_deletion_enumeration():
+    census = c_dim_census(1, 12)
+    assert sum(census.values()) == 2**12  # every composition of every i <= 12, and the empty one
+    for i in range(1, 13):
+        for j in range(0, i + 1):
+            for k in range(0, j + 1):
+                assert census[i, j, k] == c_dim_enumerated(1, i, j, k), (i, j, k)
+    assert set(census) <= {(i, j, k) for i in range(13) for j in range(i + 1) for k in range(j + 1)}
 
 
 @pytest.mark.parametrize("s", range(6))

@@ -1,5 +1,7 @@
+import copy
 import decimal
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -144,6 +146,35 @@ def test_family_invariants():
         SequenceFamily(0, 0)
     with pytest.raises(ValueError):
         SequenceFamily(-1, 2)
+
+
+def test_records_behave_as_frozen_values():
+    from cycloseq.patterncounts import joint_01_001
+    from cycloseq.tnumbers import SequenceType, t_distribution
+
+    fam = SequenceFamily(3, 4)
+    assert fam == SequenceFamily(3, 4) and hash(fam) == hash(SequenceFamily(3, 4))
+    assert fam != SequenceFamily(4, 3) and fam != (3, 4)
+    assert repr(fam) == "SequenceFamily(m=3, n=4)"
+    for name in ("m", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(fam, name, 5)
+    with pytest.raises(AttributeError):
+        del fam.m
+    assert fam.m == 3
+    assert pickle.loads(pickle.dumps(fam)) == copy.deepcopy(fam) == fam
+    assert t_distribution(2, 2) == t_distribution(2, 2) != t_distribution(1, 3)
+    assert repr(joint_01_001(1, 1)) == (
+        "JointDistribution(family=SequenceFamily(m=1, n=1), patterns=('01', '001'), "
+        "entries={(1, 0): 2})")
+    # sequence types order by their zero blocks, then their one blocks
+    types = [SequenceType((2,), (1,)), SequenceType((1, 1), (2, 1)), SequenceType((1, 1), (1, 1))]
+    assert sorted(types) == [types[2], types[1], types[0]]
+    assert types[2] < types[1] <= types[1] < types[0] and types[0] > types[1] >= types[2]
+    with pytest.raises(TypeError):
+        types[0] < (2,)
+    with pytest.raises(ValueError):
+        SequenceType((1,), (1, 1))
 
 
 def test_exact_div():

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from collections import Counter
 
 import pytest
 
@@ -13,17 +13,23 @@ def _off_by_one(entries: dict, key) -> dict:
     return {**entries, key: entries.get(key, 0) + 1}
 
 
-def _bump(real, args: tuple, key=None):
-    """real with one cell off by one on the given arguments: the value itself, or its cell key."""
-    def patched(*a):
-        out = real(*a)
+def _bump(real, args: tuple, key):
+    """real with the cell at key off by one on the given positional arguments.
+
+    The cell is an entry of a returned dict or distribution, or the value at
+    key of a returned count function.
+    """
+    def patched(*a, **kw):
+        out = real(*a, **kw)
         if a != args:
             return out
-        if key is None:
-            return out + 1
+        if callable(out):
+            return lambda h: out(h) + (h == key)
         if isinstance(out, dict):
             return _off_by_one(out, key)
-        return replace(out, entries=_off_by_one(out.entries, key))
+        fields = {name: getattr(out, name) for name in out.__slots__}
+        fields["entries"] = _off_by_one(out.entries, key)
+        return type(out)(*fields.values())
     return patched
 
 
@@ -40,7 +46,7 @@ FAILING_CASE = {
 @pytest.mark.parametrize("item_id, module, name, args, key", [
     ("joint-001-marginal-extra-cell", patterncounts, "joint_01_001", (4, 4), (1, 0)),
     ("triple-corner-binomial-sign", patterncounts, "triple_01_001_0001", (3, 2), (2, 1, 0)),
-    ("deletion-chain-direction", patterncounts, "count_pattern", (3, 2, "0001", 1), None),
+    ("deletion-chain-direction", patterncounts, "pattern_counter", (3, 2, "0001"), 1),
     ("marginal-001-prefactor", patterncounts, "pattern_distribution", (5, 3, "001"), 1),
     ("run-pair-identity", oracle, "pattern_distribution", (3, 2, "11"), 1),
 ])
@@ -71,3 +77,19 @@ def test_k0_omissions_are_checked_by_enumeration(monkeypatch, mutation):
     monkeypatch.setattr(coeffs, "c_general", lambda s, i, j, k: (
         mutation(c_general(s, i, j, k)) if k == 0 else c_general(s, i, j, k)))
     assert _ledger_item("cprime-k0-matrix-omissions")["verdict"] == "UNRESOLVED"
+
+
+def test_run_verify_enumerates_each_family_once(monkeypatch):
+    # every check and ledger item tallies the same sweep of a family
+    sweeps = Counter()
+    rotation_classes = oracle.rotation_classes
+
+    def counted(m, n):
+        sweeps[m, n] += 1
+        return rotation_classes(m, n)
+
+    monkeypatch.setattr(oracle, "rotation_classes", counted)
+    assert verification.run_verify(8)["all_equivalent"] is True
+    families = {*verification._families(8), *verification.MARGINAL_001_FAMILIES,
+                *verification.RUN_PAIR_FAMILIES}
+    assert sweeps == Counter(dict.fromkeys(families, 1))
