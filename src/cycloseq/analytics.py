@@ -24,10 +24,6 @@ def moment_sum(m: int, n: int, r: int) -> int:
     return sum(h**r * p for h, p in enumerate(binomial_products(m, n)))
 
 
-# one exact route at every order; the low-order closed forms check it in the tests
-moment_exact = moment_sum
-
-
 def _expansion_coefficient(m: int, n: int, l: int) -> Fraction:
     """Coefficient multiplying S(r-1, l) in the moment expansion; the l = 1 value is 1."""
     if l == 1:

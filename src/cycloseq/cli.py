@@ -36,6 +36,15 @@ def _dist_payload(entries: dict[int, int]) -> dict[str, str]:
     return {str(k): str(v) for k, v in sorted(entries.items())}
 
 
+def _flat_items(payload: dict):
+    """The payload's (key, value) pairs, a nested dict spread one level under outer.inner keys."""
+    for k, v in payload.items():
+        if isinstance(v, dict):
+            yield from ((f"{k}.{inner}", w) for inner, w in v.items())
+        else:
+            yield k, v
+
+
 def _emit_json(env: dict, out) -> None:
     json.dump(env, out, indent=2)
     out.write("\n")
@@ -56,11 +65,9 @@ def _emit_csv(env: dict, out) -> None:
                 writer.writerow(row)
     elif isinstance(payload, dict):
         writer.writerow(["index", "value"])
-        for k, v in payload.items():
-            writer.writerow([k, v])
+        writer.writerows(_flat_items(payload))
     elif isinstance(payload, list):
-        for item in payload:
-            writer.writerow(item if isinstance(item, (list, tuple)) else [item])
+        writer.writerows(payload)
     else:
         writer.writerow(["value"])
         writer.writerow([payload])
@@ -69,7 +76,7 @@ def _emit_csv(env: dict, out) -> None:
 def _matrix_pretty(block: dict) -> str:
     rows = block["rows"]
     labels = block.get("row_labels") or list(range(1, len(rows) + 1))
-    cells = [["" if v == "0" or v == 0 else str(v) for v in row] for row in rows]
+    cells = [["" if v == "0" else v for v in row] for row in rows]
     width = max((len(c) for row in cells for c in row), default=1)
     label_w = max((len(str(lab)) for lab in labels), default=1)
     lines = [f"{block['kind']}  fixed index {block['fixed_index']}"]
@@ -88,13 +95,11 @@ def _emit_pretty(env: dict, out) -> None:
     elif isinstance(payload, list) and payload and isinstance(payload[0], dict) and "rows" in payload[0]:
         out.write("\n".join(_matrix_pretty(b) for b in payload))
     elif isinstance(payload, dict):
-        width = max((len(str(k)) for k in payload), default=1)
-        out.writelines(f"{str(k).rjust(width)}  {v}\n" for k, v in payload.items())
+        items = list(_flat_items(payload))
+        width = max((len(k) for k, _ in items), default=1)
+        out.writelines(f"{k.rjust(width)}  {v}\n" for k, v in items)
     elif isinstance(payload, list):
-        out.writelines(
-            (" ".join(str(x) for x in item) if isinstance(item, (list, tuple)) else str(item)) + "\n"
-            for item in payload
-        )
+        out.writelines(" ".join(map(str, item)) + "\n" for item in payload)
     else:
         out.write(f"{payload}\n")
 

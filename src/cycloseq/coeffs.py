@@ -25,7 +25,7 @@ from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
 
-from .exactmath import binomial, compositions, demoivre
+from .exactmath import binomial, demoivre
 
 
 def c_tableau(i: int, j: int, k: int) -> int:
@@ -126,42 +126,27 @@ def c_weight(s: int, m: int, g: int, h: int) -> int:
     return binomial(m - 1, g)
 
 
-def c_dim_enumerated(s: int, i: int, j: int, k: int) -> int:
-    """Brute-force dimension count: delete s+1 columns from every composition."""
-    drop = s + 1
-    return sum(
-        1
-        for comp in compositions(i, j)
-        if sum(1 for part in comp if part > drop) == k
-    )
-
-
-def c_dim_census(s: int, top: int) -> dict[tuple[int, int, int], int]:
-    """c_dim_enumerated(s, i, j, k) at every i <= top, from one walk over the compositions.
+@lru_cache(maxsize=None)
+def deletion_census(s: int, top: int) -> tuple[Counter, Counter]:
+    """Column-deletion counts by brute force: (rows, boxes) at every i <= top.
 
     The compositions with j parts are those with j - 1 parts and one part
     appended; each one of every i <= top, the empty one included, is built
-    once and tallied by (i, parts j, parts longer than s+1 k).  A cell not
-    listed is zero.
+    once and tallied twice, by the parts longer than s+1 that survive the
+    deletion in rows[i, j, k] and by the boxes past column s+1 in
+    boxes[i, j, g].  A cell not listed is zero.  The tallies are cached and
+    shared, so callers only read them.
     """
     drop = s + 1
-    counts = Counter({(0, 0, 0): 1})
-    level, j = [(0, 0)], 0  # (i, k) of each composition with j parts
+    rows, boxes = Counter({(0, 0, 0): 1}), Counter({(0, 0, 0): 1})
+    level, j = [(0, 0, 0)], 0  # (i, k, g) of each composition with j parts
     while level:
         j += 1
-        level = [(i + part, k + (part > drop)) for i, k in level for part in range(1, top - i + 1)]
-        counts.update((i, j, k) for i, k in level)
-    return counts
-
-
-def c_weight_enumerated(s: int, m: int, g: int, h: int) -> int:
-    """Brute-force weight count: delete s+1 columns from every composition."""
-    drop = s + 1
-    return sum(
-        1
-        for comp in compositions(m, h)
-        if sum(part - drop for part in comp if part > drop) == g
-    )
+        level = [(i + part, k + 1, g + part - drop) if part > drop else (i + part, k, g)
+                 for i, k, g in level for part in range(1, top - i + 1)]
+        rows.update((i, j, k) for i, k, _ in level)
+        boxes.update((i, j, g) for i, _, g in level)
+    return rows, boxes
 
 
 # --- matrix emission -------------------------------------------------------
@@ -170,15 +155,15 @@ _MATRICES = {
     # kind: (fixed index values, row range, column range, closed form, and
     # column-deletion enumeration; both forms are functions of (fixed, row, col))
     "c_by_k": (range(0, 6), range(1, 13), range(1, 13),
-               lambda k, i, j: c_coeff(i, j, k), lambda k, i, j: c_dim_enumerated(0, i, j, k)),
+               lambda k, i, j: c_coeff(i, j, k), lambda k, i, j: deletion_census(0, i)[0][i, j, k]),
     "c_by_i": (range(3, 11), range(1, 11), range(0, 6),
-               c_coeff, lambda i, j, k: c_dim_enumerated(0, i, j, k)),
+               c_coeff, lambda i, j, k: deletion_census(0, i)[0][i, j, k]),
     "cprime_by_k": (range(0, 4), range(1, 13), range(1, 12),
                     lambda k, i, j: c_general(1, i, j, k),
-                    lambda k, i, j: c_dim_enumerated(1, i, j, k)),
+                    lambda k, i, j: deletion_census(1, i)[0][i, j, k]),
     "cprime_weight": (range(0, 4), range(1, 11), range(1, 10),
                       lambda g, m, h: c_weight_tableau(1, m, g, h),
-                      lambda g, m, h: c_weight_enumerated(1, m, g, h)),
+                      lambda g, m, h: deletion_census(1, m)[1][m, h, g]),
 }
 APPENDIX_KINDS = tuple(_MATRICES)
 

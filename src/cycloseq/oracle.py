@@ -23,7 +23,6 @@ from typing import Callable, Hashable, Iterable, Iterator
 
 from .errors import CapExceeded, ConstantSequence, IncompleteEnumeration, UnsupportedPattern
 from .exactmath import SequenceFamily, parse_pattern
-from .tnumbers import SequenceType
 
 DEFAULT_CAP = 20
 
@@ -126,8 +125,8 @@ def jump_count(word: int, N: int) -> int:
     return _edges(word, N).bit_count()
 
 
-def type_signature(word: int, N: int) -> SequenceType:
-    """Descending run-length partitions of the word's zero and one blocks."""
+def type_signature(word: int, N: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(zero blocks, one blocks): descending run-length partitions of the word's blocks."""
     edges = _edges(word, N)
     if not edges:
         raise ConstantSequence("constant sequences have no two-digit block structure")
@@ -136,7 +135,7 @@ def type_signature(word: int, N: int) -> SequenceType:
     # each block runs from just after the previous end, cyclically, to its own
     for prev, end in zip(ends[-1:] + ends, ends):
         blocks[word >> end & 1].append((end - prev) % N)
-    return SequenceType(*(tuple(sorted(b, reverse=True)) for b in blocks))
+    return tuple(tuple(sorted(b, reverse=True)) for b in blocks)
 
 
 def tally(classes: Iterable[tuple[int, int]], key: Callable[[int], Hashable]) -> dict:
@@ -206,6 +205,6 @@ def pattern_census(m: int, n: int, patterns: Iterable[str],
     return out
 
 
-def type_census(m: int, n: int, classes: Classes | None = None) -> dict[SequenceType, int]:
+def type_census(m: int, n: int, classes: Classes | None = None) -> dict[tuple, int]:
     return tally(_swept(m, n, classes), lambda word: type_signature(word, m + n))
 

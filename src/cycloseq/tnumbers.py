@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from functools import total_ordering
+from itertools import product
 
 from .errors import InvalidTau
 from .exactmath import (
@@ -36,30 +36,6 @@ class CountDistribution(Record):
 
     def __getitem__(self, index: int) -> int:
         return self.entries.get(index, 0)
-
-
-@total_ordering
-class SequenceType(Record):
-    """Descending block-length partitions of the zero runs and the one runs.
-
-    Types order by (zero_blocks, one_blocks).
-    """
-
-    __slots__ = ("zero_blocks", "one_blocks")
-
-    def __init__(self, zero_blocks: tuple[int, ...], one_blocks: tuple[int, ...]) -> None:
-        if len(zero_blocks) != len(one_blocks):
-            raise ValueError("zero and one partitions must share their height")
-        super().__init__(zero_blocks, one_blocks)
-
-    def __lt__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() < other._fields()
-
-    @property
-    def height(self) -> int:
-        return len(self.zero_blocks)
 
 
 def _check_tau(tau: int) -> int:
@@ -103,28 +79,26 @@ def t_sum_over_n(N: int, tau: int) -> int:
     return 2 * binomial(N, tau)
 
 
-def _type_multiplicity(N: int, t: SequenceType) -> int:
+def _type_multiplicity(N: int, zeros: tuple[int, ...], ones: tuple[int, ...]) -> int:
     """Sequences carrying a given type: N h! (h-1)! over the block-repetition factorials."""
-    h = t.height
+    h = len(zeros)
     denom = math.prod(
-        math.factorial(count)
-        for blocks in (t.zero_blocks, t.one_blocks) for count in Counter(blocks).values()
+        math.factorial(count) for blocks in (zeros, ones) for count in Counter(blocks).values()
     )
     return exact_div(N * math.factorial(h) * math.factorial(h - 1), denom)
 
 
-def type_census(m: int, n: int) -> list[tuple[SequenceType, int]]:
+def type_census(m: int, n: int) -> list[tuple[tuple, int]]:
     """All block-structure types of the family with their sequence multiplicities.
 
-    Types are listed in lexicographic order of (height, zero blocks, one blocks);
+    A type is the pair (zero blocks, one blocks) of descending block-length
+    partitions of equal height.  Rows ((zero blocks, one blocks), multiplicity)
+    are listed in lexicographic order of (height, zero blocks, one blocks);
     multiplicities sum to C(m+n, m).
     """
     N = nondegenerate_family(m, n).N
-    out: list[tuple[SequenceType, int]] = []
-    for h in range(1, min(m, n) + 1):
-        for zeros in partitions_exact(m, h):
-            for ones in partitions_exact(n, h):
-                t = SequenceType(zeros, ones)
-                out.append((t, _type_multiplicity(N, t)))
-    out.sort(key=lambda pair: (pair[0].height, pair[0].zero_blocks, pair[0].one_blocks))
-    return out
+    return [
+        ((zeros, ones), _type_multiplicity(N, zeros, ones))
+        for h in range(1, min(m, n) + 1)
+        for zeros, ones in sorted(product(partitions_exact(m, h), partitions_exact(n, h)))
+    ]

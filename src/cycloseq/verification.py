@@ -96,7 +96,7 @@ def _pattern_comparisons(max_n: int, patterns: list[str], classes: ClassesOf):
 
 def _census(pairs) -> list[tuple]:
     """A type census as sorted (zero blocks, one blocks, multiplicity) rows, JSON-safe."""
-    return sorted((t.zero_blocks, t.one_blocks, mult) for t, mult in pairs)
+    return sorted((*t, mult) for t, mult in pairs)
 
 
 def run_equivalence_suite(max_n: int = 12, classes: ClassesOf | None = None) -> list[dict]:
@@ -251,7 +251,7 @@ def typo_ledger(max_n: int = 12, classes: ClassesOf | None = None) -> list[dict]
                    (cell, defect["corrected"], enumerated)], "published cell corrected"))
 
     k0 = {(i, j): coeffs.c_general(1, i, j, 0) for i in range(1, 13) for j in range(1, 12)}
-    enumerated = coeffs.c_dim_census(1, 12)
+    enumerated, _ = coeffs.deletion_census(1, 12)
     omitted = sum(1 for (i, j), v in k0.items() if v and j != i - 1)
     items.append(_judged({
         "id": "cprime-k0-matrix-omissions",

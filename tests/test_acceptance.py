@@ -100,13 +100,7 @@ def test_criterion_03_coefficient_matrices(capsys):
             # the catalog must match reality, and the oracle must side with it
             assert defect["published"] == published
             assert defect["corrected"] == computed
-            if kind == "cprime_weight":
-                enumerated = coeffs.c_weight_enumerated(1, row, fixed, col)
-            elif kind == "c_by_i":
-                enumerated = coeffs.c_dim_enumerated(0, fixed, row, col)
-            else:
-                enumerated = coeffs.c_dim_enumerated(0, row, col, fixed)
-            assert enumerated == computed
+            assert coeffs.appendix_cell_enumerated(kind, fixed, row, col) == computed
             explained += 1
     assert not unexplained, unexplained
     assert explained == len(PRINT_DEFECTS) == 4
@@ -117,7 +111,7 @@ def test_criterion_03_coefficient_matrices(capsys):
         for j in range(1, 12):
             v = coeffs.c_general(1, i, j, 0)
             if v and (i, j) not in published_k0:
-                assert coeffs.c_dim_enumerated(1, i, j, 0) == v
+                assert coeffs.appendix_cell_enumerated("cprime_by_k", 0, i, j) == v
                 omitted += 1
     assert omitted == 36
     with capsys.disabled():
@@ -199,13 +193,13 @@ def _moment_expansion_order5(m: int, n: int) -> Fraction:
 
 def test_criterion_07_moment_identities_and_pairs(capsys):
     for m in range(1, 11):
-        assert analytics.moment_exact(m, m, 2) * 2 * (2 * m - 1) == m**3 * binomial(2 * m, m)
-        assert analytics.moment_exact(m, m, 3) * 4 * (2 * m - 1) == (
+        assert analytics.moment_sum(m, m, 2) * 2 * (2 * m - 1) == m**3 * binomial(2 * m, m)
+        assert analytics.moment_sum(m, m, 3) * 4 * (2 * m - 1) == (
             m**3 * (m + 1) * binomial(2 * m, m)
         )
         for n in range(1, 11):
-            assert analytics.moment_exact(m, n, 1) == n * binomial(m + n - 1, m - 1)
-            assert analytics.moment_exact(m, n, 2) == m * n * binomial(m + n - 2, m - 1)
+            assert analytics.moment_sum(m, n, 1) == n * binomial(m + n - 1, m - 1)
+            assert analytics.moment_sum(m, n, 2) == m * n * binomial(m + n - 2, m - 1)
     exact, approx = {}, {}
     for (m, n, r), (divisor, _, _) in MOMENT_PAIRS_PUBLISHED.items():
         exact[(m, n, r)] = analytics.moment_sum(m, n, r) / divisor

@@ -7,7 +7,6 @@ from cycloseq.analytics import (
     allwords_jump_gaussian,
     binomial_jump_pmf,
     moment_approx,
-    moment_exact,
     moment_sum,
     stirling_binomial,
     t_asymptotic,
@@ -22,15 +21,15 @@ from cycloseq.reference_tables import (
 
 
 def test_moment_examples():
-    assert moment_exact(3, 3, 1) == 30
-    assert moment_exact(2, 2, 2) == 8
-    assert moment_exact(4, 2, 3) == 56
+    assert moment_sum(3, 3, 1) == 30
+    assert moment_sum(2, 2, 2) == 8
+    assert moment_sum(4, 2, 3) == 56
 
 
 @pytest.mark.parametrize("m", range(1, 11))
 def test_even_and_odd_closed_forms(m):
-    assert moment_exact(m, m, 2) * 2 * (2 * m - 1) == m**3 * binomial(2 * m, m)
-    assert moment_exact(m, m, 3) * 4 * (2 * m - 1) == m**3 * (m + 1) * binomial(2 * m, m)
+    assert moment_sum(m, m, 2) * 2 * (2 * m - 1) == m**3 * binomial(2 * m, m)
+    assert moment_sum(m, m, 3) * 4 * (2 * m - 1) == m**3 * (m + 1) * binomial(2 * m, m)
 
 
 def _low_order_closed_form(m, n, r):
@@ -69,10 +68,10 @@ def test_closed_forms_match_the_row_sum_at_scale():
 
 def test_approx_is_exact_at_low_order():
     for m in range(1, 9):
-        assert moment_approx(m, m, 0) == moment_exact(m, m, 0)
-        assert moment_approx(m, m, 1) == moment_exact(m, m, 1)
-        assert moment_approx(m, m, 2) == moment_exact(m, m, 2)
-        assert moment_approx(m, m, 3) == moment_exact(m, m, 3)
+        assert moment_approx(m, m, 0) == moment_sum(m, m, 0)
+        assert moment_approx(m, m, 1) == moment_sum(m, m, 1)
+        assert moment_approx(m, m, 2) == moment_sum(m, m, 2)
+        assert moment_approx(m, m, 3) == moment_sum(m, m, 3)
 
 
 def test_quoted_approximation_pairs():
@@ -90,7 +89,7 @@ def test_quoted_approximation_pairs():
     # the expansion is exactly 67103875/13718 = 4891.6661
     assert round(float(moment_approx(10, 10, 5) / c20), 2) == 4891.67
 
-    assert moment_exact(4, 2, 3) == 56
+    assert moment_sum(4, 2, 3) == 56
     assert round(float(moment_approx(4, 2, 3)), 2) == 58.67
 
     c30 = binomial(30, 15)

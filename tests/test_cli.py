@@ -186,7 +186,7 @@ def test_no_assert_statements_in_the_package():
     ("cycloseq.cli", ["cycloseq.analytics", "cycloseq.oracle", "cycloseq.verification",
                       "cycloseq.reference_tables", "fractions", "decimal", "dataclasses",
                       "inspect"]),
-    ("cycloseq.oracle", ["cycloseq.patterncounts", "cycloseq.coeffs"]),
+    ("cycloseq.oracle", ["cycloseq.patterncounts", "cycloseq.coeffs", "cycloseq.tnumbers"]),
 ])
 def test_a_fresh_import_loads_only_what_the_module_calls(module, absent):
     # the CLI defers the layers few commands run; the oracle imports no closed form
@@ -438,6 +438,20 @@ def test_ising_and_walk(capsys):
     env = run_json(capsys, "walk", "--N", "7", "--k", "1", "--alpha", "0.5")
     assert env["payload"]["coefficients"] == {"2": "7", "4": "21", "6": "7"}
     assert env["payload"]["scalar"] == pytest.approx(35 / 128)
+
+
+def test_walk_spreads_its_coefficients_one_level_in_csv_and_pretty(capsys):
+    argv = ("walk", "--N", "7", "--k", "1", "--alpha", "0.5")
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 0, err
+    *lines, scalar = out.splitlines()[1:]
+    assert lines == ["index,value", "coefficients.2,7", "coefficients.4,21", "coefficients.6,7"]
+    assert scalar.startswith("scalar,") and float(scalar[7:]) == pytest.approx(35 / 128)
+    code, out, err = run(capsys, *argv, "--format", "pretty")
+    assert code == 0, err
+    *lines, scalar = out.splitlines()[1:]
+    assert lines == ["coefficients.2  7", "coefficients.4  21", "coefficients.6  7"]
+    assert scalar.startswith("        scalar  ") and float(scalar[16:]) == pytest.approx(35 / 128)
 
 
 def test_moments(capsys):

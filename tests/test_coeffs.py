@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from cycloseq.coeffs import (
@@ -5,15 +7,13 @@ from cycloseq.coeffs import (
     appendix_cell_enumerated,
     appendix_tables,
     c_coeff,
-    c_dim_census,
-    c_dim_enumerated,
     c_general,
     c_tableau,
     c_weight,
-    c_weight_enumerated,
     c_weight_tableau,
+    deletion_census,
 )
-from cycloseq.exactmath import binomial, demoivre, exact_div
+from cycloseq.exactmath import binomial, compositions, demoivre, exact_div
 from cycloseq.reference_tables import APPENDIX_PUBLISHED, PRINT_DEFECTS
 
 
@@ -132,41 +132,64 @@ def test_restricted_compositions_equal_the_descending_chain(s):
                 assert c_weight_tableau(s, m, g, h) == want, (m, g, h)
 
 
+def deletion_scan(s, top):
+    """Reference for deletion_census: delete s+1 columns from each composition of each i <= top."""
+    drop = s + 1
+    rows, boxes = Counter(), Counter()
+    for i in range(top + 1):
+        for j in range(i + 1):
+            for comp in compositions(i, j):
+                rows[i, j, sum(part > drop for part in comp)] += 1
+                boxes[i, j, sum(part - drop for part in comp if part > drop)] += 1
+    return rows, boxes
+
+
+@pytest.mark.parametrize("s", range(6))
+def test_deletion_census_matches_a_scan_of_the_compositions(s):
+    rows, boxes = deletion_census(s, 10)
+    want_rows, want_boxes = deletion_scan(s, 10)
+    assert rows == want_rows
+    assert boxes == want_boxes
+
+
 def test_c_general_deep_chain():
     assert c_general(2, 9, 3, 1) == 24
     # three extra deletions, spot-checked against direct enumeration
+    rows, _ = deletion_census(3, 12)
     for i, j, k in [(9, 2, 0), (10, 2, 1), (12, 3, 2), (8, 2, 0)]:
-        assert c_general(3, i, j, k) == c_dim_enumerated(3, i, j, k)
+        assert c_general(3, i, j, k) == rows[i, j, k]
 
 
 def test_one_composition_walk_matches_column_deletion_enumeration():
-    census = c_dim_census(1, 12)
-    assert sum(census.values()) == 2**12  # every composition of every i <= 12, and the empty one
-    for i in range(1, 13):
-        for j in range(0, i + 1):
-            for k in range(0, j + 1):
-                assert census[i, j, k] == c_dim_enumerated(1, i, j, k), (i, j, k)
-    assert set(census) <= {(i, j, k) for i in range(13) for j in range(i + 1) for k in range(j + 1)}
+    # the census the verify ledger reads: every composition of every i <= 12,
+    # and the empty one, tallied once by dimension and once by weight
+    rows, boxes = deletion_census(1, 12)
+    assert (rows, boxes) == deletion_scan(1, 12)
+    assert sum(rows.values()) == sum(boxes.values()) == 2**12
+    # at most j parts survive, holding at most the i - j boxes past the first column
+    assert set(rows) <= {(i, j, k) for i in range(13) for j in range(i + 1) for k in range(j + 1)}
+    assert set(boxes) <= {(i, j, g) for i in range(13) for j in range(i + 1) for g in range(i - j + 1)}
 
 
 @pytest.mark.parametrize("s", range(6))
 def test_dimension_counts_match_enumeration(s):
+    rows, _ = deletion_census(s, 10)
     for i in range(1, 11):
         for j in range(0, i + 1):
             for k in range(0, i + 1):
-                want = c_dim_enumerated(s, i, j, k)
                 if s == 0:
-                    assert c_tableau(i, j, k) == want
+                    assert c_tableau(i, j, k) == rows[i, j, k]
                 else:
-                    assert c_general(s, i, j, k) == want
+                    assert c_general(s, i, j, k) == rows[i, j, k]
 
 
 @pytest.mark.parametrize("s", range(6))
 def test_weight_counts_match_enumeration(s):
+    _, boxes = deletion_census(s, 10)
     for m in range(1, 11):
         for h in range(1, m + 1):
             for g in range(0, m + 1):
-                assert c_weight_tableau(s, m, g, h) == c_weight_enumerated(s, m, g, h)
+                assert c_weight_tableau(s, m, g, h) == boxes[m, h, g]
 
 
 def test_c_weight_examples():

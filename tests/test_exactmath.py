@@ -150,7 +150,7 @@ def test_family_invariants():
 
 def test_records_behave_as_frozen_values():
     from cycloseq.patterncounts import joint_01_001
-    from cycloseq.tnumbers import SequenceType, t_distribution
+    from cycloseq.tnumbers import t_distribution
 
     fam = SequenceFamily(3, 4)
     assert fam == SequenceFamily(3, 4) and hash(fam) == hash(SequenceFamily(3, 4))
@@ -167,14 +167,6 @@ def test_records_behave_as_frozen_values():
     assert repr(joint_01_001(1, 1)) == (
         "JointDistribution(family=SequenceFamily(m=1, n=1), patterns=('01', '001'), "
         "entries={(1, 0): 2})")
-    # sequence types order by their zero blocks, then their one blocks
-    types = [SequenceType((2,), (1,)), SequenceType((1, 1), (2, 1)), SequenceType((1, 1), (1, 1))]
-    assert sorted(types) == [types[2], types[1], types[0]]
-    assert types[2] < types[1] <= types[1] < types[0] and types[0] > types[1] >= types[2]
-    with pytest.raises(TypeError):
-        types[0] < (2,)
-    with pytest.raises(ValueError):
-        SequenceType((1,), (1, 1))
 
 
 def test_exact_div():
