@@ -3,8 +3,9 @@
 Every command prints an output envelope carrying the command echo, its
 parameters, a format version and the payload; identical invocations produce
 byte-identical output.  Exact counts are serialized as decimal strings so
-arbitrary precision survives JSON.  Exit codes: 0 success, 2 usage error
-(argparse), 3 domain error.
+arbitrary precision survives JSON.  Exit codes: 0 success, 1 a failed
+`verify` check, 2 usage error, 3 domain error, 4 the output could not be
+written (a closed pipe or a full device).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 # analytics, oracle and verification load fractions, the enumerator and the
@@ -316,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(parser: argparse.ArgumentParser, args) -> int:
-    out = sys.stdout
+    out, code = sys.stdout, 0
     try:
         if args.cmd == "tnum":
             env = _run_tnum(args)
@@ -359,11 +361,6 @@ def _run(parser: argparse.ArgumentParser, args) -> int:
             env = _run_asym(args)
         elif args.cmd == "verify":
             env, code = _run_verify(args)
-            if args.format == "pretty":
-                out.write(_emit_pretty_verify(env))
-            else:
-                _emit_json(env, out)
-            return code
         else:  # pragma: no cover - argparse enforces the choices
             parser.error(f"unknown command {args.cmd!r}")
     except DomainError as exc:
@@ -372,8 +369,22 @@ def _run(parser: argparse.ArgumentParser, args) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    _emit(env, args.format, out)
-    return 0
+    try:
+        if args.cmd != "verify":
+            _emit(env, args.format, out)
+        elif args.format == "pretty":
+            out.write(_emit_pretty_verify(env))
+        else:
+            _emit_json(env, out)
+        out.flush()
+    except OSError as exc:  # a closed pipe or a full device
+        try:  # the interpreter flushes the unwritten rest at exit: to the null device
+            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        except OSError:  # a stream with no file descriptor
+            pass
+        print(f"error: cannot write the output: {exc.strerror or exc}", file=sys.stderr)
+        return 4
+    return code
 
 
 def _emit_pretty_verify(env: dict) -> str:

@@ -6,11 +6,14 @@ is another composition; these coefficients count remainders by dimension
 (number of surviving rows, index k) or by weight (number of surviving
 boxes, index g), with multiplicity over the source compositions.
 
-The k parts longer than c keep their excess over c, a composition of g into
-k parts, and the other j-k parts hold 1..c boxes each.  So `c_general` (C'
-at s = 1) sums T(s, i, j, k, g) = C(j, k) * M(k, g) * R_c(j-k, i - g - c*k)
-over g and `c_weight_tableau` sums it over k, with M the composition count
-and R_c(q, v) the compositions of v into q parts of size 1..c.
+A row survives when its part is longer than c.  Taking c boxes from each of
+u marked parts leaves a composition of i - c u, so C(j, u) M(j, i - c u)
+compositions have u of their surviving rows marked, M being the composition
+count, and inclusion-exclusion (Stanley, EC1 2.1) turns them into
+`c_general`.  By weight, the k surviving parts keep their excess over
+c, a composition of g into k parts, and the other j-k parts hold 1..c boxes
+each: `c_weight_tableau` sums C(j, k) M(k, g) R_c(j-k, i - g - c k) over k,
+with R_c(q, v) the compositions of v into q parts of size 1..c.
 
 Two conventions coexist for the corner c(i, i, 0).  The tabulated matrices
 define it as i (each single-column tableau is charged once per cell), while
@@ -53,7 +56,7 @@ def c_coeff(i: int, j: int, k: int) -> int:
 
 @lru_cache(maxsize=None)
 def _short_part_rows(c: int, top: int) -> list[list[int]]:
-    """Rows q = 0, 1, ... of R_c, as far as _term has built them.
+    """Rows q = 0, 1, ... of R_c, as far as c_weight_tableau has built them.
 
     Row q holds R_c(q, v) at offset v - q, for v = q..min(c q, top) where it
     can be nonzero.  It is a windowed prefix sum of row q-1: R_c(q, v) is the
@@ -62,42 +65,29 @@ def _short_part_rows(c: int, top: int) -> list[list[int]]:
     return [[1]]
 
 
-def _term(s: int, i: int, j: int, k: int, g: int) -> int:
-    """T(s, i, j, k, g); the caller keeps i - g - (s+1) k inside j-k..(s+1)(j-k)."""
-    c = s + 1
-    rows = _short_part_rows(c, i)
-    while len(rows) <= j - k:
-        prefix = [0, *accumulate(rows[-1] + [0] * c)]
-        width = min(c * len(rows), i) - len(rows) + 1
-        rows.append([prefix[t] - prefix[max(t - c, 0)] for t in range(1, width + 1)])
-    return binomial(j, k) * demoivre(k, g) * rows[j - k][i - g - s * k - j]
-
-
 def c_general(s: int, i: int, j: int, k: int) -> int:
     """Dimension-k remainders after deleting s+1 columns (tableau counting).
 
-    The sum of T(s, i, j, k, g) over the weights g where it can be nonzero,
-    max(k, i - (s+1) j) <= g <= i - s k - j, and g = 0 alone at k = 0, where
-    M(0, g) = 0 for g > 0.  s = 0 is c_tableau; s = 1 is the two-deletion
-    coefficient C'.
+    The compositions of i into j parts with exactly k parts longer than s+1:
+    the sum of (-1)^(u-k) C(u, k) C(j, u) M(j, i - (s+1) u) over the u marked
+    parts, k <= u <= min(j, (i - j) // (s+1)).  s = 0 is c_tableau; s = 1 is
+    the two-deletion coefficient C'.
     """
     if s < 0:
         raise ValueError(f"need s >= 0, got {s}")
     if i < 1 or j < 0 or k < 0:
         raise ValueError(f"need i >= 1, j >= 0, k >= 0, got ({i}, {j}, {k})")
-    if s == 0:
-        return c_tableau(i, j, k)
-    top = i - s * k - j if k else min(i - j, 0)
-    return sum(_term(s, i, j, k, g) for g in range(max(k, i - (s + 1) * j), top + 1))
+    return sum((-1) ** (u - k) * binomial(u, k) * binomial(j, u) * demoivre(j, i - (s + 1) * u)
+               for u in range(k, min(j, (i - j) // (s + 1)) + 1))
 
 
 def c_weight_tableau(s: int, m: int, g: int, h: int) -> int:
     """Weight-g remainders after deleting s+1 columns from height-h tableaux of m.
 
-    The sum of T(s, m, h, k, g) over k <= min(h, g, (m - g - h) // s), from
-    k = 1 when g > 0, where M(0, g) = 0; zero unless h <= m - g <= (s+1) h.
-    For s = 0 the remainder weight is forced to m - h: the count is M(h, m)
-    at g = m - h and zero elsewhere.
+    The sum of C(h, k) M(k, g) R_c(h-k, m - g - c k) over k <= min(h, g,
+    (m - g - h) // s), from k = 1 when g > 0, where M(0, g) = 0; zero unless
+    h <= m - g <= (s+1) h.  For s = 0 the remainder weight is forced to
+    m - h: the count is M(h, m) at g = m - h and zero elsewhere.
     """
     if s < 0:
         raise ValueError(f"need s >= 0, got {s}")
@@ -107,7 +97,13 @@ def c_weight_tableau(s: int, m: int, g: int, h: int) -> int:
         return demoivre(h, m) if g == m - h else 0
     if not h <= m - g <= (s + 1) * h:
         return 0
-    return sum(_term(s, m, h, k, g) for k in range(min(g, 1), min(h, g, (m - g - h) // s) + 1))
+    c, ks = s + 1, range(min(g, 1), min(h, g, (m - g - h) // s) + 1)
+    rows = _short_part_rows(c, m)
+    while ks and len(rows) <= h - ks.start:
+        prefix = [0, *accumulate(rows[-1] + [0] * c)]
+        width = min(c * len(rows), m) - len(rows) + 1
+        rows.append([prefix[t] - prefix[max(t - c, 0)] for t in range(1, width + 1)])
+    return sum(binomial(h, k) * demoivre(k, g) * rows[h - k][m - g - s * k - h] for k in ks)
 
 
 def c_weight(s: int, m: int, g: int, h: int) -> int:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterator, TypeVar
 
 from .errors import DegenerateFamily, InexactDivision, UnsupportedPattern
@@ -135,16 +134,6 @@ def partition_count(h: int, w: int) -> int:
         return 0
     # parts >= 1: either a part equal to 1 exists, or subtract 1 from every part
     return partition_count(h - 1, w - 1) + partition_count(h, w - h)
-
-
-def compositions(w: int, h: int) -> Iterator[tuple[int, ...]]:
-    """All compositions of w into exactly h positive parts, in lexicographic order of their cut points."""
-    if h < 1 or w < 1:
-        if h == w == 0:
-            yield ()
-        return
-    for cuts in combinations(range(1, w), h - 1):
-        yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, w)))
 
 
 def partitions_exact(w: int, h: int, _max: int | None = None) -> Iterator[tuple[int, ...]]:

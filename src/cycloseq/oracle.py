@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from itertools import combinations
 from typing import Callable, Hashable, Iterable, Iterator
 
 from .errors import CapExceeded, ConstantSequence, IncompleteEnumeration, UnsupportedPattern
@@ -42,14 +41,6 @@ def check_cap(N: int) -> None:
         raise CapExceeded(f"N = {N} exceeds the oracle cap {cap}")
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
-
-
-def sequences(m: int, n: int) -> Iterator[int]:
-    """All words with m zeros and n ones, one by one: the reference for `rotation_classes`."""
-    SequenceFamily(m, n)  # refuses negative digit counts, not constant families
-    N = m + n
-    check_cap(N)
-    yield from map(sum, combinations([1 << p for p in range(N)], n))
 
 
 def rotation_classes(m: int, n: int) -> Iterator[tuple[int, int]]:
@@ -84,7 +75,7 @@ def rotation_classes(m: int, n: int) -> Iterator[tuple[int, int]]:
 
 
 def _occurrence_counter(N: int, pattern: str) -> Callable[[int], int]:
-    """cyclic_occurrences(word, N, pattern) as a function of the word alone."""
+    """word -> its cyclic windows that spell the pattern, which may be N long."""
     pattern = parse_pattern(pattern)
     if len(pattern) > N:
         raise UnsupportedPattern(f"pattern length {len(pattern)} exceeds the cycle length {N}")
@@ -102,15 +93,6 @@ def _occurrence_counter(N: int, pattern: str) -> Callable[[int], int]:
         return hits.bit_count()
 
     return occurrences
-
-
-def cyclic_occurrences(word: int, N: int, pattern: str) -> int:
-    """Number of the N cyclic windows of the word spelling the pattern.
-
-    Windows may use every digit of the cycle once, so patterns up to length
-    N are meaningful here (the closed forms stop one digit earlier).
-    """
-    return _occurrence_counter(N, pattern)(word)
 
 
 def _edges(word: int, N: int) -> int:

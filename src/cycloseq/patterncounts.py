@@ -9,23 +9,25 @@ solved too, by swapping the roles of m and n.  Together they cover every
 pattern of length at most three.  Everything else raises UnsupportedPattern
 and is left to the brute-force oracle.
 
-The counts of runs and of 0^r 1 are one deletion coefficient each.  Cutting
-a cyclic word after each of its n ones, from a marked one on, gives a
-composition of N into n parts and a start among N positions; the pairs
+Cutting a cyclic word after each of its n ones, from a marked one on, gives
+a composition of N into n parts and a start among N positions; the pairs
 (word, marked one) and (composition, start) match one to one, so the words
-number N/n times the compositions.  A part longer than r holds one 0^r 1 and part - r runs 0^r: the
-dimension and the weight left after deleting r columns.  The count of 101
-(parts equal to 2) sums over the number h of blocks of ones instead, and the
-joint tables (`_joint`) keep the terms of that sum apart.
+number N/n times the compositions.  A part longer than r holds one 0^r 1 and
+part - r runs 0^r, and a part equal to 2 holds one 101.  Runs are the weight
+left after deleting r columns, one `c_weight_tableau` per count.  0^r 1 and
+101 count the parts that meet a condition: from B(u), the compositions with
+u marked parts that meet it, inclusion-exclusion (Stanley, EC1 2.1) builds
+the whole row at once (`_marked_parts`).  The joint tables (`_joint`) split
+the counts by the number h of blocks of ones instead.
 """
 
 from __future__ import annotations
 
 from .errors import UnsupportedPattern
 from .exactmath import (
-    Record, binomial, demoivre, exact_div, nondegenerate_family, parse_pattern,
+    Record, SequenceFamily, binomial, demoivre, exact_div, nondegenerate_family, parse_pattern,
 )
-from .coeffs import c_general, c_tableau, c_weight_tableau
+from .coeffs import c_tableau, c_weight_tableau
 from .tnumbers import CountDistribution
 
 
@@ -55,26 +57,46 @@ def flip(pattern: str) -> str:
     return pattern.translate(str.maketrans("01", "10"))
 
 
+def _marked_parts(N: int, n: int, marked):
+    """Counter h -> words with h parts that meet a condition, from the marked counts.
+
+    marked(u) is B(u), the compositions of N into n parts with u of them
+    marked, each marked part meeting the condition.  The row of counts is the
+    coefficient list of sum_u B(u) (x - 1)^u, by Horner's rule from the last
+    nonzero B(u), in additions only; its cells times N/n count the words.
+    """
+    marks = [marked(u) for u in range(n + 1)]
+    while not marks[-1]:
+        marks.pop()
+    row: list[int] = []
+    for b in reversed(marks):
+        row = [x - y for x, y in zip([b, *row], [*row, 0])]  # row (x - 1) + b
+    row = [exact_div(N * cell, n) for cell in row]
+    return lambda h: row[h] if h < len(row) else 0
+
+
 def _shape_count(pattern: str):
-    """Count function (m, n, h) of a solved shape as written, or None."""
+    """Counter of a solved shape as written, or None: (m, n) -> (h -> count)."""
     r = len(pattern) - 1
     if pattern == "0" * (r + 1):
-        return lambda m, n, g: exact_div((m + n) * c_weight_tableau(r, m + n, g, n), n)
-    if r >= 1 and pattern in ("0" * r + "1", "1" + "0" * r):
-        return lambda m, n, ell: exact_div((m + n) * c_general(r - 1, m + n, n, ell), n)
-    if pattern == "101":
-        return _count_101
+        return lambda m, n: lambda g: exact_div((m + n) * c_weight_tableau(r, m + n, g, n), n)
+    if r >= 1 and pattern in ("0" * r + "1", "1" + "0" * r):  # parts longer than r
+        return lambda m, n: _marked_parts(
+            m + n, n, lambda u: binomial(n, u) * demoivre(n, m + n - r * u))
+    if pattern == "101":  # parts equal to 2
+        return lambda m, n: _marked_parts(
+            m + n, n, lambda u: binomial(n, u) * demoivre(n - u, m + n - 2 * u))
     return None
 
 
 def _solved_count(pattern: str):
-    """Count function (m, n, h) of a solved pattern or of its digit swap, or None."""
+    """Counter (m, n) -> (h -> count) of a solved pattern or of its digit swap, or None."""
     count = _shape_count(pattern)
     if count is not None:
         return count
     swapped = _shape_count(flip(pattern))
     if swapped is not None:
-        return lambda m, n, h: swapped(n, m, h)
+        return lambda m, n: swapped(n, m)
     return None
 
 
@@ -83,52 +105,29 @@ def is_solved_pattern(pattern: str) -> bool:
     return _solved_count(parse_pattern(pattern)) is not None
 
 
-def _count_101(m: int, n: int, ell: int) -> int:
-    """Sequences with exactly ell occurrences of 101.
-
-    A sequence with h blocks of ones pairs a composition of its m zeros into
-    h parts with a composition of its n ones into h parts, and (N/n) C(n, h)
-    counts those pairs on the N-cycle.  Each block of zeros carries at most
-    one 101, so heights below ell contribute nothing.
-    """
-    heights = range(max(ell, 1), min(m, n) + 1)
-    total = sum(binomial(n, h) * c_tableau(m, h, h - ell) for h in heights)
-    return exact_div((m + n) * total, n)
-
-
-def _resolve(m: int, n: int, pattern: str):
-    """Check a query and return its family and the pattern's count function.
-
-    The count function is None for an unsolved pattern; callers refuse it.
-    """
-    pattern = parse_pattern(pattern)
-    family = nondegenerate_family(m, n)
-    if len(pattern) >= family.N:
-        raise UnsupportedPattern(
-            f"pattern length {len(pattern)} must be below the sequence length {family.N}"
-        )
-    return family, _solved_count(pattern)
-
-
-def _no_closed_form(pattern: str) -> UnsupportedPattern:
-    return UnsupportedPattern(f"no closed form for pattern {pattern!r}; use the oracle for it")
-
-
 def pattern_counter(m: int, n: int, pattern: str):
     """The count h -> sequences of the family with h cyclic occurrences of the pattern.
 
-    The query is checked and its closed form looked up once, so a caller
-    that counts many h pays for that once.  A negative h counts nothing; an
-    unsolved pattern raises when it is counted.
+    The query is checked, and the closed form looked up and, for 0^r 1 and
+    101, its whole row built, once, so a caller that counts many h pays for
+    that once.  A negative h counts nothing; an unsolved pattern raises when
+    it is counted.
     """
-    _, count = _resolve(m, n, pattern)
+    pattern = parse_pattern(pattern)
+    N = nondegenerate_family(m, n).N
+    if len(pattern) >= N:
+        raise UnsupportedPattern(
+            f"pattern length {len(pattern)} must be below the sequence length {N}")
+    solved = _solved_count(pattern)
+    count = None if solved is None else solved(m, n)
 
     def counter(h: int) -> int:
         if h < 0:
             return 0
         if count is None:
-            raise _no_closed_form(pattern)
-        return count(m, n, h)
+            raise UnsupportedPattern(
+                f"no closed form for pattern {pattern!r}; use the oracle for it")
+        return count(h)
 
     return counter
 
@@ -144,20 +143,20 @@ def pattern_distribution(m: int, n: int, pattern: str) -> CountDistribution:
     Entries run from 0 to the largest occurrence count with a nonzero count;
     interior zeros are kept so the index range is contiguous.
     """
-    family, count = _resolve(m, n, pattern)
-    if count is None:
-        raise _no_closed_form(pattern)
-    counts = [count(m, n, h) for h in range(family.N + 1)]
+    count = pattern_counter(m, n, pattern)
+    counts = [count(h) for h in range(m + n + 1)]
     top = max((h for h, v in enumerate(counts) if v), default=0)
-    return CountDistribution(family, "occurrences", dict(enumerate(counts[: top + 1])))
+    return CountDistribution(SequenceFamily(m, n), "occurrences", dict(enumerate(counts[: top + 1])))
 
 
 def _joint(m: int, n: int, patterns: tuple[str, ...], cells) -> JointDistribution:
-    """Joint table of the patterns, 01 first, split by the heights of `_count_101`.
+    """Joint table of the patterns, 01 first, split by the number h of blocks of ones.
 
-    cells(h) yields (rest, tableaux) pairs: the other patterns' occurrence
-    counts and the zero compositions into h parts that give them.  Each
-    nonzero pair becomes the entry at key (h, *rest).
+    A sequence with h blocks of ones pairs a composition of its m zeros into
+    h parts with one of its n ones into h parts, and (N/n) C(n, h) counts
+    those pairs on the N-cycle.  cells(h) yields (rest, tableaux) pairs: the
+    other patterns' occurrence counts and the zero compositions into h parts
+    that give them.  Each nonzero pair becomes the entry at key (h, *rest).
     """
     family = nondegenerate_family(m, n)
     entries: dict[tuple[int, ...], int] = {}
@@ -217,7 +216,7 @@ def _all_words(N: int, pattern: str, h: int) -> int:
     """
     count = _solved_count(pattern)
     total = [N if pattern == digit * len(pattern) else 0 for digit in "01"].count(h)
-    return total + sum(count(m, N - m, h) for m in range(1, N))
+    return total + sum(count(m, N - m)(h) for m in range(1, N))
 
 
 def fibonacci_gf(N: int, r: int, h: int) -> int:

@@ -96,8 +96,3 @@ def walk_weight_polynomial(N: int, k: int) -> WalkPolynomial:
     if abs(k) > N or (N + k) % 2 != 0:
         raise InvalidDisplacement(f"displacement {k} unreachable in {N} steps")
     return WalkPolynomial(N, k, dict(t_distribution((N + k) // 2, (N - k) // 2).entries))
-
-
-def walk_weight_total(N: int, k: int, alpha: float) -> float:
-    """Convenience wrapper: the scalar weight at a given memory strength alpha."""
-    return walk_weight_polynomial(N, k).scalar(alpha)

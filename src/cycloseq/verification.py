@@ -212,7 +212,7 @@ def typo_ledger(max_n: int = 12, classes: ClassesOf | None = None) -> list[dict]
                                  "descending to the innermost index",
         }, max_n, _pattern_comparisons(min(max_n, 10), ["0001", "00001"], classes),
             "descending order confirmed",
-            "restricted-composition closed form matches enumeration for 0001 and 00001; "
+            "inclusion-exclusion closed form matches enumeration for 0001 and 00001; "
             "tests/test_coeffs.py checks that form against the descending chain"),
         _judged({
             "id": "marginal-001-prefactor",

@@ -1,0 +1,62 @@
+"""Reference implementations the tests hold the program to.
+
+Each one is a slower or more literal route to a count the package answers
+another way; none of them is called by the package.
+"""
+
+from collections import Counter
+from itertools import combinations
+
+from cycloseq.coeffs import c_tableau
+from cycloseq.exactmath import binomial, exact_div
+
+
+def compositions(w, h):
+    """All compositions of w into exactly h positive parts, in lexicographic order of cut points."""
+    if h < 1 or w < 1:
+        if h == w == 0:
+            yield ()
+        return
+    for cuts in combinations(range(1, w), h - 1):
+        yield tuple(b - a for a, b in zip((0, *cuts), (*cuts, w)))
+
+
+def sequences(m, n):
+    """All words with m zeros and n ones, bit i holding digit i: the reference for rotation classes."""
+    yield from map(sum, combinations([1 << p for p in range(m + n)], n))
+
+
+def cyclic_occurrences(word, N, pattern):
+    """Number of the N cyclic windows of the word spelling the pattern, by a string scan.
+
+    Windows may use every digit of the cycle once, so patterns up to length N
+    are meaningful here.
+    """
+    bits = "".join(str(word >> i & 1) for i in range(N))
+    return sum((bits + bits)[i : i + len(pattern)] == pattern for i in range(N))
+
+
+def deletion_scan(s, top):
+    """Reference for deletion_census: delete s+1 columns from each composition of each i <= top."""
+    drop = s + 1
+    rows, boxes = Counter(), Counter()
+    for i in range(top + 1):
+        for j in range(i + 1):
+            for comp in compositions(i, j):
+                rows[i, j, sum(part > drop for part in comp)] += 1
+                boxes[i, j, sum(part - drop for part in comp if part > drop)] += 1
+    return rows, boxes
+
+
+def count_101(m, n, ell):
+    """Sequences of the family (m, n) with exactly ell occurrences of 101, by a height sum.
+
+    A sequence with h blocks of ones pairs a composition of its m zeros into
+    h parts with a composition of its n ones into h parts, and (N/n) C(n, h)
+    counts those pairs on the N-cycle.  Each block of zeros carries at most
+    one 101, the blocks of a single zero, so heights below ell contribute
+    nothing.
+    """
+    heights = range(max(ell, 1), min(m, n) + 1)
+    total = sum(binomial(n, h) * c_tableau(m, h, h - ell) for h in heights)
+    return exact_div((m + n) * total, n)

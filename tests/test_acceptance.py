@@ -36,6 +36,7 @@ from cycloseq.reference_tables import (
     PRINT_DEFECTS,
     T53_TABLE,
 )
+from references import cyclic_occurrences, sequences
 
 # printed approximation cells are compared at this absolute tolerance
 PRINT_TOLERANCE = 0.01
@@ -143,8 +144,8 @@ def test_criterion_05_worked_examples(capsys):
     assert patterncounts.fibonacci_gf(5, 3, 0) == 20
     assert patterncounts.count_pattern(4, 4, "001", 0) == 2
     quiet = [
-        w for w in oracle.sequences(4, 4)
-        if oracle.cyclic_occurrences(w, 8, "001") == 0
+        w for w in sequences(4, 4)
+        if cyclic_occurrences(w, 8, "001") == 0
     ]
     assert sorted(quiet) == [0x55, 0xAA]  # the two alternating words
     # the two-deletion weight coefficients drive the (000) column for (5,3)

@@ -221,6 +221,25 @@ def test_exactness_checks_survive_python_O():
     assert json.loads(verify.stdout)["payload"]["all_equivalent"] is True
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the full device /dev/full")
+def test_a_failed_write_ends_in_one_error_line():
+    # a full device and a pipe its reader closed both end in exit 4 and one
+    # error line, and the interpreter's last flush at exit adds nothing
+    cli = [sys.executable, "-m", "cycloseq.cli"]
+    env = {**os.environ, "PYTHONPATH": SRC}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([*cli, "tnum", "--m", "3", "--n", "3"], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (
+        4, "error: cannot write the output: No space left on device\n")
+    proc = subprocess.Popen([*cli, "tnum", "--m", "3000", "--n", "3000", "--format", "json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(100).startswith(b"{")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (4, b"error: cannot write the output: Broken pipe\n")
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACE_BOOT = PERFBENCH / "trace_boot.py"
 
@@ -558,7 +577,7 @@ def test_verify_confirms_bounded_ledger_items_from_n5(capsys):
         "corner cells match enumeration with the + sign")
     assert ledger["deletion-chain-direction"]["verdict"] == "descending order confirmed"
     assert ledger["deletion-chain-direction"]["oracle"].startswith(
-        "restricted-composition closed form matches enumeration")
+        "inclusion-exclusion closed form matches enumeration")
 
 
 def _bump_pattern_counter(real):

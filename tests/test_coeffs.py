@@ -1,5 +1,3 @@
-from collections import Counter
-
 import pytest
 
 from cycloseq.coeffs import (
@@ -13,8 +11,9 @@ from cycloseq.coeffs import (
     c_weight_tableau,
     deletion_census,
 )
-from cycloseq.exactmath import binomial, compositions, demoivre, exact_div
+from cycloseq.exactmath import binomial, demoivre, exact_div
 from cycloseq.reference_tables import APPENDIX_PUBLISHED, PRINT_DEFECTS
+from references import deletion_scan
 
 
 def c_coeff_by_recurrence(i, j, k):
@@ -95,9 +94,10 @@ def test_c_general_reduces():
                 assert c_general(1, i, j, k) == two_deletion_sum(i, j, k)
 
 
-# The paper's descending chains, the reference for the restricted-composition
-# sums: after the first deletion, each further deletion keeps f of the prev
-# surviving rows and takes f boxes out of what is left.
+# The paper's descending chains, the reference for the inclusion-exclusion
+# and restricted-composition sums: after the first deletion, each further
+# deletion keeps f of the prev surviving rows and takes f boxes out of what
+# is left.
 def dimension_chain(depth, prev, left, k):
     """Sum over chains prev >= f_1 >= ... >= f_depth >= k with left boxes to spend."""
     if depth == 0:
@@ -119,8 +119,15 @@ def weight_chain(depth, prev, left, g):
     )
 
 
+# far past any enumeration: at s = 1 the chain is a sum of O(j) terms
+DEEP_CHAIN_POINTS = {1: [(600, 300, 40), (1200, 500, 100), (900, 880, 3), (600, 400, 0)],
+                     2: [(640, 200, 30)]}
+
+
 @pytest.mark.parametrize("s", range(1, 5))
 def test_restricted_compositions_equal_the_descending_chain(s):
+    for i, j, k in DEEP_CHAIN_POINTS.get(s, []):
+        assert c_general(s, i, j, k) == dimension_chain(s, j, i - j, k), (i, j, k)
     for i in range(1, 15):
         for j in range(0, i + 1):
             for k in range(0, i + 1):
@@ -130,18 +137,6 @@ def test_restricted_compositions_equal_the_descending_chain(s):
             for g in range(0, m + 1):
                 want = weight_chain(s, h, m - h - g, g)
                 assert c_weight_tableau(s, m, g, h) == want, (m, g, h)
-
-
-def deletion_scan(s, top):
-    """Reference for deletion_census: delete s+1 columns from each composition of each i <= top."""
-    drop = s + 1
-    rows, boxes = Counter(), Counter()
-    for i in range(top + 1):
-        for j in range(i + 1):
-            for comp in compositions(i, j):
-                rows[i, j, sum(part > drop for part in comp)] += 1
-                boxes[i, j, sum(part - drop for part in comp if part > drop)] += 1
-    return rows, boxes
 
 
 @pytest.mark.parametrize("s", range(6))

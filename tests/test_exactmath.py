@@ -12,7 +12,6 @@ from cycloseq.exactmath import (
     SequenceFamily,
     binomial,
     binomial_products,
-    compositions,
     demoivre,
     exact_decimal,
     exact_div,
@@ -21,6 +20,7 @@ from cycloseq.exactmath import (
     partitions_exact,
     stirling2,
 )
+from references import compositions
 
 small = st.integers(min_value=0, max_value=12)
 

@@ -1,5 +1,6 @@
 import functools
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -20,6 +21,7 @@ from cycloseq.patterncounts import (
     triple_01_001_0001,
 )
 from cycloseq.tnumbers import t_distribution, t_number
+from references import count_101, cyclic_occurrences
 
 SOLVED = [
     "0", "1", "00", "01", "10", "11",
@@ -191,7 +193,7 @@ def test_closed_forms_meet_exact_identities_far_beyond_the_oracle_cap(m, n, patt
 
 @functools.lru_cache(maxsize=None)
 def _by_heights(m, n, shape, r):
-    """Counts of 0^r (shape "run") or 0^r 1 (shape "then1") by a height sum.
+    """Counts of 0^r (shape "run"), 0^r 1 (shape "then1") or 101 by a height sum.
 
     A sequence with h blocks of ones pairs a composition of its m zeros into h
     parts with one of its n ones into h parts, and (N/n) C(n, h) counts those
@@ -200,44 +202,61 @@ def _by_heights(m, n, shape, r):
     digit, C(N, n) sequences with m zeros, and 01, the jump numbers.
     """
     N = m + n
+    if shape == "101":
+        return {ell: v for ell in range(min(m, n) + 1) if (v := count_101(m, n, ell))}
     if r == 1:
         if shape == "run":
             return {m: binomial(N, n)}
         return {ell: t_number(m, n, 2 * ell) for ell in range(1, min(m, n) + 1)}
-    coefficient = c_weight_tableau if shape == "run" else (
-        lambda s, i, ell, h: c_general(s, i, h, ell))
-    counts = {}
-    for x in range(N + 1):
-        total = sum(binomial(n, h) * coefficient(r - 2, m, x, h) for h in range(1, min(m, n) + 1))
-        if total:
-            counts[x] = exact_div(N * total, n)
-    return counts
+    totals = Counter()
+    for h in range(1, min(m, n) + 1):
+        if shape == "run":  # a weight x <= m - h survives
+            for x in range(m - h + 1):
+                totals[x] += binomial(n, h) * c_weight_tableau(r - 2, m, x, h)
+        else:  # x <= h parts of at least r zeros each
+            for x in range(min(h, (m - h) // (r - 1)) + 1):
+                totals[x] += binomial(n, h) * c_general(r - 2, m, h, x)
+    return {x: exact_div(N * t, n) for x, t in sorted(totals.items()) if t}
 
 
 def _zero_shape(pattern):
-    """(shape, r, swapped) of a run or of 0^r 1 or 1 0^r, or of a digit swap of one."""
+    """(shape, r, swapped) of a run, of 0^r 1 or 1 0^r, or of 101, or of a digit swap of one."""
     for swapped, image in enumerate((pattern, flip(pattern))):
         r = image.count("0")
         if image == "0" * r:
             return "run", r, swapped
         if r and image in ("0" * r + "1", "1" + "0" * r):
             return "then1", r, swapped
+        if image == "101":
+            return "101", 1, swapped
     return None
 
 
 ZERO_SHAPES_UP_TO_8 = [p for p in SOLVED_UP_TO_10 if len(p) <= 8 and _zero_shape(p)]
+# 101 and 010, and 0^r 1 for r <= 5 with its reversal and their digit swaps
+ONE_BLOCK_UP_TO_6 = [p for p in SOLVED_UP_TO_10 if len(p) <= 6 and _zero_shape(p)[0] != "run"]
 
 
-@pytest.mark.parametrize("m, n", [(60, 60), (37, 83), (150, 150)])
-def test_one_coefficient_equals_the_height_sum(m, n):
-    # the closed forms take one deletion coefficient of the compositions of all
-    # N digits into n parts; the height sum splits the same count by the
-    # number of blocks of ones and deletes columns from the zeros alone
-    for pattern in ZERO_SHAPES_UP_TO_8:
-        shape, r, swapped = _zero_shape(pattern)
-        expected = _by_heights(*((n, m) if swapped else (m, n)), shape, r)
-        closed = pattern_distribution(m, n, pattern).entries
-        assert {h: v for h, v in closed.items() if v} == expected, pattern
+@pytest.mark.parametrize("families, patterns", [
+    pytest.param([(60, 60)], ZERO_SHAPES_UP_TO_8, id="60-60"),
+    pytest.param([(37, 83)], ZERO_SHAPES_UP_TO_8, id="37-83"),
+    pytest.param([(150, 150)], ZERO_SHAPES_UP_TO_8, id="150-150"),
+    pytest.param([(300, 300), (200, 120)], ["101", "0001"], id="300-300-and-200-120"),
+    pytest.param([(m, N - m) for N in range(2, 41) for m in range(1, N)], ONE_BLOCK_UP_TO_6,
+                 id="every-family-to-N40"),
+])
+def test_one_coefficient_equals_the_height_sum(families, patterns):
+    # the closed forms cut the word into the compositions of all N digits into
+    # n parts; the height sum splits the same count by the number of blocks of
+    # ones and deletes columns from the zeros alone
+    for m, n in families:
+        for pattern in patterns:
+            if len(pattern) >= m + n:
+                continue
+            shape, r, swapped = _zero_shape(pattern)
+            expected = _by_heights(*((n, m) if swapped else (m, n)), shape, r)
+            closed = pattern_distribution(m, n, pattern).entries
+            assert {h: v for h, v in closed.items() if v} == expected, (m, n, pattern)
 
 
 def test_pattern_longer_than_cycle():
@@ -397,7 +416,7 @@ def test_fibonacci_matches_enumeration(N):
     # every run length up to the whole cycle, over the nonempty subsets
     for r in range(2, N + 1):
         brute = oracle.tally(((word, 1) for word in range(1, 1 << N)),
-                             lambda word: oracle.cyclic_occurrences(word, N, "1" * r))
+                             lambda word: cyclic_occurrences(word, N, "1" * r))
         for h in range(0, N + 2):
             assert fibonacci_gf(N, r, h) == brute.get(h, 0), (N, r, h)
 
@@ -417,6 +436,6 @@ def test_all_sequences_001():
         for l in range(N // 3 + 1, N + 1):
             assert all_sequences_001(N, l) == 0
         brute = oracle.tally(((word, 1) for word in range(1 << N)),
-                             lambda word: oracle.cyclic_occurrences(word, N, "001"))
+                             lambda word: cyclic_occurrences(word, N, "001"))
         for l in range(N + 1):
             assert all_sequences_001(N, l) == brute.get(l, 0)

@@ -11,9 +11,9 @@ from cycloseq.physics import (
     ising_partition_fixed,
     ising_partition_total,
     walk_weight_polynomial,
-    walk_weight_total,
 )
 from cycloseq.tnumbers import t_distribution
+from references import sequences
 
 
 def _boltzmann_sum_mp(N: int, nu, dps: int = 50):
@@ -31,7 +31,7 @@ def _boltzmann_sum_fixed_mp(N: int, n: int, nu, dps: int = 50):
     with mpmath.workdps(dps):
         nu = mpmath.mpf(nu)
         total = mpmath.mpf(0)
-        for word in oracle.sequences(N - n, n):
+        for word in sequences(N - n, n):
             tau = oracle.jump_count(word, N)
             total += mpmath.e ** ((N - 2 * tau) * nu)
         return total
@@ -122,7 +122,7 @@ def test_walk_coefficients_sum_to_binomial(N, k):
 
 def test_walk_neutral_memory_recovers_bernoulli():
     for N, k in [(6, 0), (7, 1), (9, 3)]:
-        scalar = walk_weight_total(N, k, 0.5)
+        scalar = walk_weight_polynomial(N, k).scalar(0.5)
         assert scalar == pytest.approx(binomial(N, (N + k) // 2) * 0.5**N, rel=1e-12)
 
 
@@ -133,7 +133,7 @@ def test_walk_scalar_against_path_enumeration():
         word = sum(1 << i for i, step in enumerate(path) if step == "R")
         tau = oracle.jump_count(word, 4)
         total += alpha**tau * beta ** (4 - tau)
-    assert walk_weight_total(4, 0, alpha) == pytest.approx(total, rel=1e-12)
+    assert walk_weight_polynomial(4, 0).scalar(alpha) == pytest.approx(total, rel=1e-12)
 
 
 def test_walk_parity_and_degenerate():
