@@ -11,7 +11,6 @@ written (a closed pipe or a full device).
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -53,26 +52,24 @@ def _emit_json(env: dict, out) -> None:
 
 
 def _emit_csv(env: dict, out) -> None:
-    writer = csv.writer(out, lineterminator="\n")
     payload = env["payload"]
     out.write(f"# {env['command']} {json.dumps(env['params'], sort_keys=True)} "
               f"v{env['format_version']} {env['provenance']}\n")
     if isinstance(payload, dict) and "rows" in payload:
-        for row in payload["rows"]:
-            writer.writerow(row)
+        rows = payload["rows"]
     elif isinstance(payload, list) and payload and isinstance(payload[0], dict) and "rows" in payload[0]:
-        for block in payload:
-            out.write(f"# kind={block['kind']} fixed_index={block['fixed_index']}\n")
-            for row in block["rows"]:
-                writer.writerow(row)
+        # each block opens with its comment line, written as a row of one cell
+        rows = [row for b in payload
+                for row in [[f"# kind={b['kind']} fixed_index={b['fixed_index']}"], *b["rows"]]]
     elif isinstance(payload, dict):
-        writer.writerow(["index", "value"])
-        writer.writerows(_flat_items(payload))
+        rows = [("index", "value"), *_flat_items(payload)]
     elif isinstance(payload, list):
-        writer.writerows(payload)
+        rows = payload
     else:
-        writer.writerow(["value"])
-        writer.writerow([payload])
+        rows = [("value",), (payload,)]
+    # every cell is a decimal count, a float or a fixed key: none holds a comma,
+    # a quote or a line break, so none needs quoting
+    out.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _matrix_pretty(block: dict) -> str:
@@ -123,16 +120,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
+    family = argparse.ArgumentParser(add_help=False)
+    family.add_argument("--m", type=int, required=True)
+    family.add_argument("--n", type=int, required=True)
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("tnum", parents=[common], help="jump-count distribution or point value")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("tnum", parents=[common, family], help="jump-count distribution or point value")
     p.add_argument("--tau", type=int)
 
-    p = sub.add_parser("dist", parents=[common], help="occurrence distribution of a pattern")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("dist", parents=[common, family], help="occurrence distribution of a pattern")
     p.add_argument("--pattern", required=True)
     p.add_argument("--via", choices=("closed", "oracle"), default="closed")
 
@@ -168,15 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--alpha", type=float, required=True)
 
-    p = sub.add_parser("moments", parents=[common], help="weighted binomial moment sums")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("moments", parents=[common, family], help="weighted binomial moment sums")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--approx", action="store_true")
 
-    p = sub.add_parser("asym", parents=[common], help="asymptotic jump-count estimates")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("asym", parents=[common, family], help="asymptotic jump-count estimates")
     p.add_argument("--tau", type=int)
     p.add_argument("--sweep", action="store_true", help="emit (x, value) pairs along the curve")
 
@@ -364,11 +356,9 @@ def _run(parser: argparse.ArgumentParser, args) -> int:
         else:  # pragma: no cover - argparse enforces the choices
             parser.error(f"unknown command {args.cmd!r}")
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(3, f"error: {exc}")
     except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(2, f"usage error: {exc}")
     try:
         if args.cmd != "verify":
             _emit(env, args.format, out)
@@ -378,12 +368,25 @@ def _run(parser: argparse.ArgumentParser, args) -> int:
             _emit_json(env, out)
         out.flush()
     except OSError as exc:  # a closed pipe or a full device
-        try:  # the interpreter flushes the unwritten rest at exit: to the null device
-            os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
-        except OSError:  # a stream with no file descriptor
-            pass
-        print(f"error: cannot write the output: {exc.strerror or exc}", file=sys.stderr)
-        return 4
+        _to_null(out)
+        return _fail(4, f"error: cannot write the output: {exc.strerror or exc}")
+    return code
+
+
+def _to_null(stream) -> None:
+    """Point stream at the null device, where the interpreter flushes its unwritten rest at exit."""
+    try:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+    except OSError:  # a stream with no file descriptor
+        pass
+
+
+def _fail(code: int, line: str) -> int:
+    """Print line on stderr and return code, which holds when stderr is broken too."""
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:  # a closed pipe or a full device
+        _to_null(sys.stderr)
     return code
 
 

@@ -18,6 +18,7 @@ family, and walks the compositions for the deletion matrix once.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain, product
 from math import comb
 from typing import Callable, Iterable
@@ -62,14 +63,7 @@ def _sweeps() -> ClassesOf:
     One verify run shares one of these, so every tally of a family reads one
     sweep of it; the classes go when the run does.
     """
-    swept: dict[tuple[int, int], list] = {}
-
-    def classes(m: int, n: int) -> list:
-        if (m, n) not in swept:
-            swept[m, n] = list(oracle.rotation_classes(m, n))
-        return swept[m, n]
-
-    return classes
+    return cache(lambda m, n: list(oracle.rotation_classes(m, n)))
 
 
 def _check(name: str, max_n: int, comparisons: Iterable[tuple[dict, object, object]]) -> dict:

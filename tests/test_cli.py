@@ -1,5 +1,7 @@
 import ast
+import csv
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -185,7 +187,7 @@ def test_no_assert_statements_in_the_package():
 @pytest.mark.parametrize("module, absent", [
     ("cycloseq.cli", ["cycloseq.analytics", "cycloseq.oracle", "cycloseq.verification",
                       "cycloseq.reference_tables", "fractions", "decimal", "dataclasses",
-                      "inspect"]),
+                      "inspect", "csv"]),
     ("cycloseq.oracle", ["cycloseq.patterncounts", "cycloseq.coeffs", "cycloseq.tnumbers"]),
 ])
 def test_a_fresh_import_loads_only_what_the_module_calls(module, absent):
@@ -238,6 +240,33 @@ def test_a_failed_write_ends_in_one_error_line():
     proc.stdout.close()
     err = proc.stderr.read()
     assert (proc.wait(timeout=60), err) == (4, b"error: cannot write the output: Broken pipe\n")
+
+
+def test_the_exit_code_holds_when_the_reader_closes_stdout_and_stderr():
+    # the error line meets the same closed pipe as the output and is dropped
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cycloseq.cli", "tnum", "--m", "3000", "--n", "3000", "--format",
+         "json"], stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.stdout.read(50).startswith(b"{")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 4
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the full device /dev/full")
+@pytest.mark.parametrize("argv, stdout_full, code", [
+    (["tnum", "--m", "3", "--n", "3"], True, 4),
+    (["verify", "--max-N", "3", "--format", "json"], True, 4),
+    (["tnum", "--m", "-3", "--n", "3"], False, 2),
+    (["tnum", "--m", "0", "--n", "3", "--tau", "2"], False, 3),
+])
+def test_the_exit_code_holds_when_stderr_is_a_full_device(argv, stdout_full, code):
+    # the error line cannot be printed, yet the exit code still says what went wrong
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "cycloseq.cli", *argv],
+                              stdout=full if stdout_full else subprocess.PIPE, stderr=full,
+                              env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+    assert (proc.returncode, proc.stdout) == (code, None if stdout_full else b"")
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -500,6 +529,27 @@ def test_deterministic_output(capsys):
     assert first == second
 
 
+def _csv_writer_rows(payload) -> str:
+    # the reference: the payload's rows as csv.writer writes them, comment lines left out
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    if isinstance(payload, dict) and "rows" in payload:
+        writer.writerows(payload["rows"])
+    elif isinstance(payload, list) and isinstance(payload[0], dict):
+        for block in payload:
+            writer.writerows(block["rows"])
+    elif isinstance(payload, dict):
+        writer.writerow(["index", "value"])
+        for k, v in payload.items():
+            writer.writerows([(f"{k}.{i}", w) for i, w in v.items()] if isinstance(v, dict)
+                             else [(k, v)])
+    elif isinstance(payload, list):
+        writer.writerows(payload)
+    else:
+        writer.writerows([["value"], [payload]])
+    return out.getvalue()
+
+
 def test_csv_format(capsys):
     code, out, _ = run(capsys, "tnum", "--m", "3", "--n", "4", "--format", "csv")
     assert code == 0
@@ -507,6 +557,17 @@ def test_csv_format(capsys):
     assert lines[0].startswith("# tnum")
     assert lines[1] == "index,value"
     assert lines[2] == "2,7"
+    # every payload shape prints the rows csv.writer would
+    for argv in (["tnum", "--m", "30", "--n", "40"], ["tnum", "--m", "5", "--n", "5", "--tau", "6"],
+                 ["walk", "--N", "7", "--k", "1", "--alpha", "0.3"],
+                 ["moments", "--m", "10", "--n", "10", "--r", "4", "--approx"],
+                 ["asym", "--m", "3", "--n", "3", "--sweep"], ["coeff", "--kind", "c", "--i", "5"],
+                 ["appendix", "--which", "c_by_k"], ["ising", "total", "--N", "8", "--nu", "0.5"]):
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert code == 0, err
+        payload = run_json(capsys, *argv)["payload"]
+        rows = "".join(line for line in out.splitlines(keepends=True) if not line.startswith("#"))
+        assert rows == _csv_writer_rows(payload), argv
 
 
 def test_verify_small(capsys, monkeypatch):
