@@ -18,7 +18,7 @@ from .exactmath import binomial, binomial_products, falling_factorial, stirling2
 
 
 def moment_sum(m: int, n: int, r: int) -> int:
-    """sum_h h^r C(m,h) C(n,h) over h = 0..min(m,n), summed along the row of products."""
+    """sum_h h^r C(m,h) C(n,h) over h = 0..min(m,n), added along the walk, no row kept."""
     if m < 0 or n < 0 or r < 0:
         raise ValueError("arguments must be nonnegative")
     return sum(h**r * p for h, p in enumerate(binomial_products(m, n)))

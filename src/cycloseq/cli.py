@@ -3,9 +3,13 @@
 Every command prints an output envelope carrying the command echo, its
 parameters, a format version and the payload; identical invocations produce
 byte-identical output.  Exact counts are serialized as decimal strings so
-arbitrary precision survives JSON.  Exit codes: 0 success, 1 a failed
-`verify` check, 2 usage error, 3 domain error, 4 the output could not be
-written (a closed pipe or a full device).
+arbitrary precision survives JSON.  The rows of tnum and dist stream one
+cell at a time, each count walked and printed as it is written.  Exit codes:
+0 success, 1 a failed `verify` check, 2 usage error, 3 domain error, 4 the
+output could not be written (a closed pipe or a full device).  Every refusal
+(exit 2 or 3) comes before the first byte; an engine defect mid-row
+(InexactDivision, a trapped decimal rounding) ends in a traceback, exit 1,
+after a partial envelope.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from typing import Iterator, Sequence
 
 # analytics, oracle and verification load fractions, the enumerator and the
 # published tables, so only the runners that call them import them
@@ -33,11 +38,28 @@ def _envelope(command: str, params: dict, payload, provenance: str) -> dict:
     }
 
 
-def _dist_payload(entries: dict[int, int]) -> dict[str, str]:
-    return {str(k): str(v) for k, v in sorted(entries.items())}
+class _Row:
+    """A payload row walked as it is written, one decimal count alive at a time.
+
+    Its integer keys are known up front, so pretty can align them.
+    """
+
+    __slots__ = ("keys", "values")
+
+    def __init__(self, keys: Sequence[int], values: Iterator[str]) -> None:
+        self.keys, self.values = keys, values
+
+    def items(self) -> Iterator[tuple[str, str]]:
+        return zip(map(str, self.keys), self.values, strict=True)
 
 
-def _flat_items(payload: dict):
+def _row(entries: dict[int, int]) -> _Row:
+    """entries as a row in increasing index, each count printed only as it is written."""
+    keys = sorted(entries)
+    return _Row(keys, (str(entries[k]) for k in keys))
+
+
+def _flat_items(payload: dict | _Row):
     """The payload's (key, value) pairs, a nested dict spread one level under outer.inner keys."""
     for k, v in payload.items():
         if isinstance(v, dict):
@@ -47,8 +69,19 @@ def _flat_items(payload: dict):
 
 
 def _emit_json(env: dict, out) -> None:
-    json.dump(env, out, indent=2)
-    out.write("\n")
+    payload = env["payload"]
+    if not isinstance(payload, _Row):
+        json.dump(env, out, indent=2)
+        out.write("\n")
+        return
+    # the envelope up to its last field, the payload, whose cells follow as they
+    # are walked; a cell is digits only, so none needs escaping
+    out.write(json.dumps({**env, "payload": None}, indent=2)[:-len("null\n}")])
+    lead = "{"
+    for k, v in payload.items():
+        out.write(f'{lead}\n    "{k}": "{v}"')
+        lead = ","
+    out.write("{}\n}\n" if lead == "{" else "\n  }\n}\n")
 
 
 def _emit_csv(env: dict, out) -> None:
@@ -61,8 +94,9 @@ def _emit_csv(env: dict, out) -> None:
         # each block opens with its comment line, written as a row of one cell
         rows = [row for b in payload
                 for row in [[f"# kind={b['kind']} fixed_index={b['fixed_index']}"], *b["rows"]]]
-    elif isinstance(payload, dict):
-        rows = [("index", "value"), *_flat_items(payload)]
+    elif isinstance(payload, (dict, _Row)):
+        out.write("index,value\n")
+        rows = _flat_items(payload)
     elif isinstance(payload, list):
         rows = payload
     else:
@@ -93,6 +127,9 @@ def _emit_pretty(env: dict, out) -> None:
         out.write(_matrix_pretty(payload))
     elif isinstance(payload, list) and payload and isinstance(payload[0], dict) and "rows" in payload[0]:
         out.write("\n".join(_matrix_pretty(b) for b in payload))
+    elif isinstance(payload, _Row):
+        width = max((len(str(k)) for k in payload.keys), default=1)
+        out.writelines(f"{k.rjust(width)}  {v}\n" for k, v in payload.items())
     elif isinstance(payload, dict):
         items = list(_flat_items(payload))
         width = max((len(k) for k, _ in items), default=1)
@@ -104,7 +141,7 @@ def _emit_pretty(env: dict, out) -> None:
 
 
 def _emit(env: dict, fmt: str, out) -> None:
-    """Write env to out in the format fmt as it is encoded, not first built as one string."""
+    """Write env to out in the format fmt as it is encoded, a row one cell at a time."""
     if fmt == "json":
         _emit_json(env, out)
     elif fmt == "csv":
@@ -183,10 +220,21 @@ def _run_tnum(args) -> dict:
         value = tnumbers.t_number(args.m, args.n, args.tau)
         return _envelope("tnum", {"m": args.m, "n": args.n, "tau": args.tau},
                          str(value), "closed-form")
-    # decimal cells print in linear time, where str() of a long int is quadratic
-    with exactmath.exact_decimal(args.m + args.n) as one:
-        entries = tnumbers.t_distribution(args.m, args.n, one).entries
-    return _envelope("tnum", {"m": args.m, "n": args.n}, _dist_payload(entries), "closed-form")
+    exactmath.SequenceFamily(args.m, args.n)  # refused here, before the first byte is written
+    taus = range(2, 2 * min(args.m, args.n) + 1, 2) or range(1)  # a constant family: tau = 0
+    return _envelope("tnum", {"m": args.m, "n": args.n},
+                     _Row(taus, _decimal_counts(args.m, args.n)), "closed-form")
+
+
+def _decimal_counts(m: int, n: int) -> Iterator[str]:
+    """The counts of tnumbers.jump_row as digits, walked as they are drawn.
+
+    Decimal cells print in linear time, where str() of a long int is
+    quadratic.  Outside the context a Decimal silently rounds to 28 digits,
+    so it stays open until the last cell is drawn.
+    """
+    with exactmath.exact_decimal(m + n) as one:
+        yield from (str(count) for _, count in tnumbers.jump_row(m, n, one))
 
 
 def _run_dist(args) -> dict:
@@ -197,9 +245,9 @@ def _run_dist(args) -> dict:
         entries = oracle.pattern_distribution(args.m, args.n, args.pattern)
         top = max((h for h, v in entries.items() if v), default=0)
         entries = {h: entries.get(h, 0) for h in range(top + 1)}
-        return _envelope("dist", params, _dist_payload(entries), "oracle")
+        return _envelope("dist", params, _row(entries), "oracle")
     dist = patterncounts.pattern_distribution(args.m, args.n, args.pattern)
-    return _envelope("dist", params, _dist_payload(dist.entries), "closed-form")
+    return _envelope("dist", params, _row(dist.entries), "closed-form")
 
 
 def _coeff_value(kind: str, s: int, i: int, j: int, k: int) -> int:
@@ -342,7 +390,7 @@ def _run(parser: argparse.ArgumentParser, args) -> int:
         elif args.cmd == "walk":
             poly = physics.walk_weight_polynomial(args.N, args.k)
             payload = {
-                "coefficients": _dist_payload(poly.coefficients),
+                "coefficients": {str(k): str(v) for k, v in sorted(poly.coefficients.items())},
                 "scalar": poly.scalar(args.alpha),
             }
             env = _envelope("walk", {"N": args.N, "k": args.k, "alpha": args.alpha},

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator, TypeVar
 
 from .errors import DegenerateFamily, InexactDivision, UnsupportedPattern
@@ -49,20 +50,20 @@ def exact_div(num: Cell, den: int) -> Cell:
     return q
 
 
-def binomial_products(m: int, n: int, one: Cell = 1) -> list[Cell]:
+def binomial_products(m: int, n: int, one: Cell = 1) -> Iterator[Cell]:
     """The row C(m, h) C(n, h) for h = 0..min(m, n), starting from the cell one.
 
-    Walked by its exact ratio P(h+1) = P(h) (m-h)(n-h) / (h+1)^2, each step
-    a checked exact_div, so no cell needs fresh binomials.  The cells take
-    the type of one: ints by default, Decimals when one comes from
-    exact_decimal.
+    Walked lazily by its exact ratio P(h+1) = P(h) (m-h)(n-h) / (h+1)^2, each
+    step a checked exact_div, so no cell needs fresh binomials and only the
+    last drawn is kept; m and n are checked at once.  The cells take the type
+    of one: ints by default, Decimals when one comes from exact_decimal, whose
+    context must stay open until the last cell is drawn.
     """
     if m < 0 or n < 0:
         raise ValueError(f"binomial_products needs m, n >= 0, got ({m}, {n})")
-    row = [one]
-    for h in range(min(m, n)):
-        row.append(exact_div(row[-1] * (m - h) * (n - h), (h + 1) ** 2))
-    return row
+    return accumulate(range(min(m, n)),
+                      lambda cell, h: exact_div(cell * (m - h) * (n - h), (h + 1) ** 2),
+                      initial=one)
 
 
 @contextmanager

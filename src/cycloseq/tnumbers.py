@@ -3,9 +3,9 @@
 A sequence of m zeros and n ones, read cyclically, has an even number tau
 of boundaries between unequal adjacent digits.  The count of sequences with
 a given tau has the closed form (tau/2) * (1/m + 1/n) * C(m, tau/2) * C(n, tau/2);
-this module evaluates it exactly, one point or a whole distribution from the
-row of binomial products, with the all-words row sums and the census of
-sequences by block-structure type.
+this module evaluates it exactly, one point or a whole row walked one cell
+at a time along the row of binomial products, with the all-words row sums
+and the census of sequences by block-structure type.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from itertools import product
+from typing import Iterator
 
 from .errors import InvalidTau
 from .exactmath import (
-    Record, SequenceFamily, binomial, binomial_products, exact_div, nondegenerate_family,
+    Cell, Record, SequenceFamily, binomial, binomial_products, exact_div, nondegenerate_family,
     partitions_exact,
 )
 
@@ -53,18 +54,23 @@ def t_number(m: int, n: int, tau: int) -> int:
     return exact_div((m + n) * h * binomial(m, h) * binomial(n, h), m * n)
 
 
-def t_distribution(m: int, n: int, one=1) -> CountDistribution:
-    """Full jump distribution of the family; degenerate families give {0: one}.
+def jump_row(m: int, n: int, one=1) -> Iterator[tuple[int, Cell]]:
+    """The family's (tau, count) cells in increasing tau, each walked as it is drawn.
 
-    The counts take the type of one, as in binomial_products: ints by
-    default, exact Decimals when one comes from exactmath.exact_decimal.
+    The family is checked at once.  A degenerate family gives the one cell
+    (0, one).  The counts take the type of one, as in binomial_products.
     """
-    family = SequenceFamily(m, n)
-    if family.is_degenerate:
-        return CountDistribution(family, "tau", {0: one})
-    N, row = m + n, binomial_products(m, n, one)
-    entries = {2 * h: exact_div(N * h * row[h], m * n) for h in range(1, len(row))}
-    return CountDistribution(family, "tau", entries)
+    if SequenceFamily(m, n).is_degenerate:
+        return iter([(0, one)])
+    N, mn = m + n, m * n
+    cells = enumerate(binomial_products(m, n, one))
+    next(cells)  # h = 0: every sequence of both digits has a jump
+    return ((2 * h, exact_div(N * h * p, mn)) for h, p in cells)
+
+
+def t_distribution(m: int, n: int) -> CountDistribution:
+    """Full jump distribution of the family, the int cells of jump_row kept as a dict."""
+    return CountDistribution(SequenceFamily(m, n), "tau", dict(jump_row(m, n)))
 
 
 def t_sum_over_n(N: int, tau: int) -> int:

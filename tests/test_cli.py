@@ -11,8 +11,9 @@ from pathlib import Path
 import pytest
 
 import cycloseq
-from cycloseq import oracle, patterncounts, tnumbers, verification
+from cycloseq import exactmath, oracle, patterncounts, tnumbers, verification
 from cycloseq.cli import main
+from cycloseq.errors import InexactDivision
 
 SRC = str(Path(cycloseq.__file__).resolve().parent.parent)
 
@@ -61,6 +62,50 @@ def test_tnum_prints_the_int_walk_on_every_small_family(capsys):
 @pytest.mark.parametrize("m, n", [(1, 4000), (4000, 1), (2050, 2080)])
 def test_tnum_prints_the_int_walk_on_large_families(capsys, m, n):
     _tnum_output_matches_the_int_walk(capsys, m, n)
+
+
+# a small interpreter starts the query and reads its peak RSS from wait4: a
+# child started from the test process would take that process's peak as its own
+PEAK_RSS_PROBE = """import os, sys
+argv = [sys.executable, "-m", "cycloseq.cli", *sys.argv[1:]]
+pid = os.posix_spawn(sys.executable, argv, os.environ,
+                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_rss_kb(*argv):
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", PEAK_RSS_PROBE, *argv],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+                          timeout=120)
+    code, kb = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    return kb
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in kilobytes, as Linux has it")
+def test_tnum_streams_a_long_row_in_the_memory_of_a_short_one():
+    # the row is walked while it is written, so no more than one count is alive at a time
+    short = _peak_rss_kb("tnum", "--m", "60", "--n", "60", "--format", "json")
+    long = _peak_rss_kb("tnum", "--m", "6000", "--n", "6000", "--format", "json")
+    assert long - short <= 2048, (short, long)
+
+
+def test_an_engine_defect_mid_row_ends_in_a_traceback_after_a_partial_envelope(capsys,
+                                                                               monkeypatch):
+    # the row is walked as it is written, so a remainder in the walk, which is a
+    # defect and no refusal, surfaces after the cells before it
+    def spy(num, den):
+        if den == 9:  # the step to C(5, 3)^2, the product of the tau = 6 cell
+            raise InexactDivision("a counting formula left a remainder in an exact division")
+        return num // den
+
+    monkeypatch.setattr(exactmath, "exact_div", spy)
+    with pytest.raises(InexactDivision):
+        main(["tnum", "--m", "5", "--n", "5", "--format", "csv"])
+    assert capsys.readouterr().out == (
+        '# tnum {"m": 5, "n": 5} v1 closed-form\nindex,value\n2,10\n4,80\n')
 
 
 def test_tnum_point(capsys):
@@ -117,9 +162,11 @@ def test_dist_routes_agree_across_families(capsys):
 
 
 def test_dist_unsupported_pattern_exit_3(capsys):
-    code, out, err = run(capsys, "dist", "--m", "4", "--n", "4", "--pattern", "0110")
-    assert code == 3
-    assert "oracle" in err
+    for fmt in ("json", "csv", "pretty"):
+        code, out, err = run(capsys, "dist", "--m", "4", "--n", "4", "--pattern", "0110",
+                             "--format", fmt)
+        assert (code, out) == (3, "")
+        assert "oracle" in err
     env = run_json(
         capsys, "dist", "--m", "4", "--n", "4", "--pattern", "0110", "--via", "oracle"
     )
@@ -131,10 +178,10 @@ def test_domain_error_exit_3(capsys):
     # a constant family still has a distribution, but no point query
     env = run_json(capsys, "tnum", "--m", "0", "--n", "5")
     assert env["payload"] == {"0": "1"}
-    code, _, err = run(capsys, "tnum", "--m", "0", "--n", "5", "--tau", "2")
-    assert code == 3 and "constant" in err
-    code, _, err = run(capsys, "tnum", "--m", "3", "--n", "4", "--tau", "3")
-    assert code == 3
+    code, out, err = run(capsys, "tnum", "--m", "0", "--n", "5", "--tau", "2")
+    assert (code, out) == (3, "") and "constant" in err
+    code, out, err = run(capsys, "tnum", "--m", "3", "--n", "4", "--tau", "3")
+    assert (code, out) == (3, "")
 
 
 def test_usage_error_exit_2(capsys):
@@ -147,9 +194,13 @@ def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ising", "fixed", "--N", "6", "--nu", "0.5"])  # missing --n
     assert exc.value.code == 2
-    # out-of-range numerics are usage errors, not tracebacks
-    code, _, err = run(capsys, "tnum", "--m", "0", "--n", "0")
-    assert code == 2 and "usage error" in err
+    assert capsys.readouterr().out == ""
+    # out-of-range numerics are usage errors, not tracebacks, refused before the
+    # first byte of the row that tnum writes as it walks it
+    for fmt in ("json", "csv", "pretty"):
+        for m, n in (("0", "0"), ("-3", "3"), ("3", "-3")):
+            code, out, err = run(capsys, "tnum", "--m", m, "--n", n, "--format", fmt)
+            assert (code, out) == (2, "") and "usage error" in err, (m, n, fmt)
     code, _, err = run(capsys, "fib", "--N", "4", "--r", "1", "--h", "0")
     assert code == 2
 
@@ -459,10 +510,10 @@ def test_coeff_empty_grid(capsys):
 
 
 def test_oracle_rejects_overlong_pattern(capsys):
-    code, _, err = run(
+    code, out, err = run(
         capsys, "dist", "--m", "1", "--n", "1", "--pattern", "101", "--via", "oracle"
     )
-    assert code == 3 and "exceeds" in err
+    assert (code, out) == (3, "") and "exceeds" in err
     # length equal to the cycle is still a valid window set for the oracle
     env = run_json(capsys, "dist", "--m", "1", "--n", "1", "--pattern", "01", "--via", "oracle")
     assert env["payload"] == {"0": "0", "1": "2"}

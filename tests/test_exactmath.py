@@ -201,7 +201,7 @@ def test_exact_decimal_holds_every_integer_below_its_bound(N):
 def test_binomial_products_walk_decimal_cells_to_the_same_row():
     for m, n in [(0, 5), (7, 3), (25, 25), (300, 410)]:
         with exact_decimal(m + n) as one:
-            row = binomial_products(m, n, one)
+            row = list(binomial_products(m, n, one))  # drawn while the context is open
         assert all(isinstance(cell, decimal.Decimal) for cell in row)
         assert [str(cell) for cell in row] == [str(cell) for cell in binomial_products(m, n)]
 
@@ -209,11 +209,11 @@ def test_binomial_products_walk_decimal_cells_to_the_same_row():
 def test_binomial_products_walk_the_row():
     for m in range(31):
         for n in range(31):
-            assert binomial_products(m, n) == [
+            assert list(binomial_products(m, n)) == [
                 math.comb(m, h) * math.comb(n, h) for h in range(min(m, n) + 1)
             ], (m, n)
     with pytest.raises(ValueError):
-        binomial_products(-1, 3)
+        binomial_products(-1, 3)  # refused when the walk is made, before any cell is drawn
 
 
 def test_binomial_products_step_through_the_checked_division(monkeypatch):
@@ -225,5 +225,7 @@ def test_binomial_products_step_through_the_checked_division(monkeypatch):
         return exact_div(num, den)
 
     monkeypatch.setattr(exactmath, "exact_div", spy)
-    assert binomial_products(9, 6)[-1] == math.comb(9, 6)
+    walk = binomial_products(9, 6)
+    assert next(walk) == 1 and dens == []  # a cell is walked only when it is drawn
+    assert list(walk)[-1] == math.comb(9, 6)
     assert dens == [(h + 1) ** 2 for h in range(6)]

@@ -5,6 +5,7 @@ from cycloseq import oracle
 from cycloseq.errors import DegenerateFamily, InvalidTau
 from cycloseq.exactmath import binomial, exact_div, partition_count
 from cycloseq.tnumbers import (
+    jump_row,
     t_distribution,
     t_number,
     t_sum_over_n,
@@ -64,6 +65,15 @@ def test_distribution_row_sum_and_first_moment_at_5000():
     dist = t_distribution(m, n)
     assert dist.total == binomial(N, m)
     assert sum(tau * v for tau, v in dist.entries.items()) == 2 * N * binomial(N - 2, n - 1)
+
+
+def test_jump_row_checks_the_family_before_it_walks():
+    # the row is refused when it is made, and its cells come in increasing tau
+    for m, n in ((0, 0), (-1, 3), (3, -1)):
+        with pytest.raises(ValueError):
+            jump_row(m, n)
+    assert list(jump_row(3, 4)) == [(2, 7), (4, 21), (6, 7)]
+    assert list(jump_row(0, 6)) == [(0, 1)]
 
 
 def test_degenerate_family():
