@@ -2,7 +2,8 @@
 
 Every command prints an output envelope carrying the command echo, its
 parameters, a format version and the payload; identical invocations produce
-byte-identical output.  Exact counts are serialized as decimal strings so
+byte-identical output.  The parameters are every option the query was given
+or defaulted, except --format and those left None, in declaration order.  Exact counts are serialized as decimal strings so
 arbitrary precision survives JSON.  The rows of tnum and dist stream one
 cell at a time, each count walked and printed as it is written.  Exit codes:
 0 success, 1 a failed `verify` check, 2 usage error, 3 domain error, 4 the
@@ -28,10 +29,12 @@ from .errors import DegenerateFamily, DomainError
 FORMAT_VERSION = "1"
 
 
-def _envelope(command: str, params: dict, payload, provenance: str) -> dict:
+def _envelope(args: argparse.Namespace, payload, provenance: str) -> dict:
+    """The query's envelope, echoing every option that is not None, in declaration order."""
     return {
-        "command": command,
-        "params": params,
+        "command": args.cmd,
+        "params": {k: v for k, v in vars(args).items()
+                   if k not in ("cmd", "format") and v is not None},
         "format_version": FORMAT_VERSION,
         "provenance": provenance,
         "payload": payload,
@@ -54,9 +57,12 @@ class _Row:
 
 
 def _row(entries: dict[int, int]) -> _Row:
-    """entries as a row in increasing index, each count printed only as it is written."""
-    keys = sorted(entries)
-    return _Row(keys, (str(entries[k]) for k in keys))
+    """entries as a row from index 0 to the last key, an absent index counted as 0.
+
+    Each count is printed only as it is written.
+    """
+    keys = range(max(entries, default=0) + 1)
+    return _Row(keys, (str(entries.get(k, 0)) for k in keys))
 
 
 def _flat_items(payload: dict | _Row):
@@ -206,24 +212,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--approx", action="store_true")
 
     p = sub.add_parser("asym", parents=[common, family], help="asymptotic jump-count estimates")
-    p.add_argument("--tau", type=int)
-    p.add_argument("--sweep", action="store_true", help="emit (x, value) pairs along the curve")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--tau", type=int)
+    mode.add_argument("--sweep", action="store_true", default=None,
+                      help="emit (x, value) pairs along the curve")
 
     p = sub.add_parser("verify", parents=[common], help="oracle equivalence suite and typo ledger")
-    p.add_argument("--max-N", dest="max_n", type=int, default=12)
+    p.add_argument("--max-N", dest="max_N", type=int, default=12)
 
     return parser
 
 
-def _run_tnum(args) -> dict:
+def _run_tnum(args) -> tuple:
     if args.tau is not None:
-        value = tnumbers.t_number(args.m, args.n, args.tau)
-        return _envelope("tnum", {"m": args.m, "n": args.n, "tau": args.tau},
-                         str(value), "closed-form")
+        return str(tnumbers.t_number(args.m, args.n, args.tau)), "closed-form"
     exactmath.SequenceFamily(args.m, args.n)  # refused here, before the first byte is written
     taus = range(2, 2 * min(args.m, args.n) + 1, 2) or range(1)  # a constant family: tau = 0
-    return _envelope("tnum", {"m": args.m, "n": args.n},
-                     _Row(taus, _decimal_counts(args.m, args.n)), "closed-form")
+    return _Row(taus, _decimal_counts(args.m, args.n)), "closed-form"
 
 
 def _decimal_counts(m: int, n: int) -> Iterator[str]:
@@ -237,36 +242,32 @@ def _decimal_counts(m: int, n: int) -> Iterator[str]:
         yield from (str(count) for _, count in tnumbers.jump_row(m, n, one))
 
 
-def _run_dist(args) -> dict:
-    params = {"m": args.m, "n": args.n, "pattern": args.pattern, "via": args.via}
+def _run_dist(args) -> tuple:
     if args.via == "oracle":
         from . import oracle
 
-        entries = oracle.pattern_distribution(args.m, args.n, args.pattern)
-        top = max((h for h, v in entries.items() if v), default=0)
-        entries = {h: entries.get(h, 0) for h in range(top + 1)}
-        return _envelope("dist", params, _row(entries), "oracle")
+        return _row(oracle.pattern_distribution(args.m, args.n, args.pattern)), "oracle"
     dist = patterncounts.pattern_distribution(args.m, args.n, args.pattern)
-    return _envelope("dist", params, _row(dist.entries), "closed-form")
+    return _row(dist.entries), "closed-form"
 
 
 def _coeff_value(kind: str, s: int, i: int, j: int, k: int) -> int:
     if kind == "c":
         return coeffs.c_coeff(i, j, k)
-    if kind == "cprime":
-        return coeffs.c_general(1, i, j, k)
-    if kind == "cs":
-        return coeffs.c_general(s, i, j, k)
-    return coeffs.c_weight(s, i, k, j)  # cweight: j is the height, k the weight
+    if kind == "cweight":
+        return coeffs.c_weight(s, i, k, j)  # j is the height, k the weight
+    return coeffs.c_general(s, i, j, k)  # cprime is cs at s = 1
 
 
-def _run_coeff(args) -> dict:
-    params = {"kind": args.kind, "s": args.s, "i": args.i, "j": args.j, "k": args.k}
+def _run_coeff(args) -> tuple:
+    own = {"c": 0, "cprime": 1}.get(args.kind, args.s)  # c and cprime fix their own s
+    if args.s not in (0, own):
+        raise ValueError(f"--kind {args.kind} fixes s = {own}, got --s {args.s}")
+    args.s = own  # echoed as the s the kind computes with
     if (args.j is None) != (args.k is None):
         raise DomainError("coeff takes --j and --k (or --g) together, or neither")
     if args.j is not None:
-        value = _coeff_value(args.kind, args.s, args.i, args.j, args.k)
-        return _envelope("coeff", params, str(value), "closed-form")
+        return str(_coeff_value(args.kind, args.s, args.i, args.j, args.k)), "closed-form"
     # no cell given: emit the whole grid for this fixed upper index, evaluating
     # its first cell even when it is empty, to refuse what point queries refuse
     row_lo = 1 if args.kind == "cweight" else 0
@@ -277,42 +278,37 @@ def _run_coeff(args) -> dict:
         for j in labels
     ]
     payload = {"kind": args.kind, "fixed_index": args.i, "row_labels": labels, "rows": rows}
-    return _envelope("coeff", params, payload, "closed-form")
+    return payload, "closed-form"
 
 
-def _run_appendix(args) -> dict:
+def _run_appendix(args) -> tuple:
     blocks = coeffs.appendix_tables(args.which, args.index)
     payload = [
         {"kind": b["kind"], "fixed_index": b["fixed_index"],
          "rows": [[str(v) for v in row] for row in b["rows"]]}
         for b in blocks
     ]
-    params = {"which": args.which}
-    if args.index is not None:
-        params["index"] = args.index
-    return _envelope("appendix", params, payload, "closed-form")
+    return payload, "closed-form"
 
 
-def _run_moments(args) -> dict:
+def _run_moments(args) -> tuple:
     from . import analytics
 
     exact = analytics.moment_sum(args.m, args.n, args.r)
-    params = {"m": args.m, "n": args.n, "r": args.r, "approx": args.approx}
     if not args.approx:
-        return _envelope("moments", params, str(exact), "closed-form")
+        return str(exact), "closed-form"
     approx = analytics.moment_approx(args.m, args.n, args.r)
     payload = {
         "exact": str(exact),
         "approx": float(approx),
         "approx_rational": f"{approx.numerator}/{approx.denominator}",
     }
-    return _envelope("moments", params, payload, "closed-form")
+    return payload, "closed-form"
 
 
-def _run_asym(args) -> dict:
+def _run_asym(args) -> tuple:
     from . import analytics
 
-    params = {"m": args.m, "n": args.n}
     if args.m < 1 or args.n < 1:
         raise DegenerateFamily("asymptotic form needs both digits present")
     if args.sweep:
@@ -321,25 +317,14 @@ def _run_asym(args) -> dict:
         for step in range(0, 10 * top + 1):
             x = step / 10.0
             pairs.append([f"{x:.1f}", f"{analytics.t_asymptotic(args.m, args.n, x):.6f}"])
-        params["sweep"] = True
-        return _envelope("asym", params, pairs, "closed-form")
+        return pairs, "closed-form"
     if args.tau is not None:
-        params["tau"] = args.tau
-        value = analytics.t_asymptotic(args.m, args.n, args.tau)
-        return _envelope("asym", params, value, "closed-form")
+        return analytics.t_asymptotic(args.m, args.n, args.tau), "closed-form"
     dist = {
         tau: analytics.t_asymptotic(args.m, args.n, tau)
         for tau in range(2, 2 * min(args.m, args.n) + 3, 2)
     }
-    return _envelope("asym", params, {str(k): v for k, v in dist.items()}, "closed-form")
-
-
-def _run_verify(args) -> tuple[dict, int]:
-    from . import verification
-
-    report = verification.run_verify(args.max_n)
-    env = _envelope("verify", {"max_N": args.max_n}, report, "both")
-    return env, 0 if report["all_equivalent"] else 1
+    return {str(k): v for k, v in dist.items()}, "closed-form"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -358,55 +343,54 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(parser: argparse.ArgumentParser, args) -> int:
-    out, code = sys.stdout, 0
+    out = sys.stdout
     try:
         if args.cmd == "tnum":
-            env = _run_tnum(args)
+            payload, provenance = _run_tnum(args)
         elif args.cmd == "dist":
-            env = _run_dist(args)
+            payload, provenance = _run_dist(args)
         elif args.cmd == "coeff":
-            env = _run_coeff(args)
+            payload, provenance = _run_coeff(args)
         elif args.cmd == "appendix":
-            env = _run_appendix(args)
+            payload, provenance = _run_appendix(args)
         elif args.cmd == "fib":
-            value = patterncounts.fibonacci_gf(args.N, args.r, args.h)
-            env = _envelope("fib", {"N": args.N, "r": args.r, "h": args.h},
-                            str(value), "closed-form")
+            payload = str(patterncounts.fibonacci_gf(args.N, args.r, args.h))
+            provenance = "closed-form"
         elif args.cmd == "kaplansky":
-            value = patterncounts.kaplansky(args.N, args.n, args.p)
-            env = _envelope("kaplansky", {"N": args.N, "n": args.n, "p": args.p},
-                            str(value), "closed-form")
+            payload = str(patterncounts.kaplansky(args.N, args.n, args.p))
+            provenance = "closed-form"
         elif args.cmd == "ising":
             if args.mode == "fixed":
                 if args.n is None:
                     parser.error("ising fixed needs --n")
-                value = physics.ising_partition_fixed(args.N, args.n, args.nu)
-                env = _envelope("ising", {"mode": "fixed", "N": args.N, "n": args.n,
-                                          "nu": args.nu}, value, "closed-form")
+                payload = physics.ising_partition_fixed(args.N, args.n, args.nu)
             else:
-                value = physics.ising_partition_total(args.N, args.nu)
-                env = _envelope("ising", {"mode": "total", "N": args.N, "nu": args.nu},
-                                value, "closed-form")
+                if args.n is not None:
+                    parser.error("ising total takes no --n")
+                payload = physics.ising_partition_total(args.N, args.nu)
+            provenance = "closed-form"
         elif args.cmd == "walk":
             poly = physics.walk_weight_polynomial(args.N, args.k)
             payload = {
                 "coefficients": {str(k): str(v) for k, v in sorted(poly.coefficients.items())},
                 "scalar": poly.scalar(args.alpha),
             }
-            env = _envelope("walk", {"N": args.N, "k": args.k, "alpha": args.alpha},
-                            payload, "closed-form")
+            provenance = "closed-form"
         elif args.cmd == "moments":
-            env = _run_moments(args)
+            payload, provenance = _run_moments(args)
         elif args.cmd == "asym":
-            env = _run_asym(args)
+            payload, provenance = _run_asym(args)
         elif args.cmd == "verify":
-            env, code = _run_verify(args)
+            from . import verification
+
+            payload, provenance = verification.run_verify(args.max_N), "both"
         else:  # pragma: no cover - argparse enforces the choices
             parser.error(f"unknown command {args.cmd!r}")
     except DomainError as exc:
         return _fail(3, f"error: {exc}")
     except ValueError as exc:
         return _fail(2, f"usage error: {exc}")
+    env = _envelope(args, payload, provenance)
     try:
         if args.cmd != "verify":
             _emit(env, args.format, out)
@@ -418,7 +402,7 @@ def _run(parser: argparse.ArgumentParser, args) -> int:
     except OSError as exc:  # a closed pipe or a full device
         _to_null(out)
         return _fail(4, f"error: cannot write the output: {exc.strerror or exc}")
-    return code
+    return 0 if args.cmd != "verify" or payload["all_equivalent"] else 1
 
 
 def _to_null(stream) -> None:

@@ -105,11 +105,16 @@ def stirling2(r: int, l: int) -> int:
     """
     if r < 0 or l < 0:
         raise ValueError("stirling2 needs nonnegative arguments")
-    if r == 0 and l == 0:
-        return 1
-    if r == 0 or l == 0 or l > r:
-        return 0
-    return l * stirling2(r - 1, l) + stirling2(r - 1, l - 1)
+    return _stirling2_row(r)[l] if l <= r else 0
+
+
+@lru_cache(maxsize=1)
+def _stirling2_row(r: int) -> tuple[int, ...]:
+    """S(r, 0..r), grown from row 0 by S(q, l) = l S(q-1, l) + S(q-1, l-1) in a loop."""
+    row = (1,)
+    for _ in range(r):
+        row = (0, *(l * row[l] + row[l - 1] for l in range(1, len(row))), 1)
+    return row
 
 
 def demoivre(h: int, w: int) -> int:

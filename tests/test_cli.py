@@ -111,6 +111,8 @@ def test_an_engine_defect_mid_row_ends_in_a_traceback_after_a_partial_envelope(c
 def test_tnum_point(capsys):
     env = run_json(capsys, "tnum", "--m", "5", "--n", "5", "--tau", "6")
     assert env["payload"] == "120"
+    assert run(capsys, "tnum", "--m", "5", "--n", "5", "--tau", "6") == (
+        0, '# tnum {"m": 5, "n": 5, "tau": 6} (closed-form)\n120\n', "")
 
 
 def test_tnum_beyond_the_int_str_digit_limit(capsys):
@@ -203,6 +205,19 @@ def test_usage_error_exit_2(capsys):
             assert (code, out) == (2, "") and "usage error" in err, (m, n, fmt)
     code, _, err = run(capsys, "fib", "--N", "4", "--r", "1", "--h", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["asym", "--m", "3", "--n", "3", "--tau", "2", "--sweep"],
+     "argument --sweep: not allowed with argument --tau"),
+    (["ising", "total", "--N", "8", "--n", "3", "--nu", "0.5"], "ising total takes no --n"),
+])
+def test_an_option_the_query_would_ignore_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.endswith(f": error: {message}\n")
 
 
 def test_negative_digit_count_exit_2(capsys):
@@ -468,6 +483,26 @@ def test_coeff(capsys):
     assert env["payload"] == "24"
 
 
+@pytest.mark.parametrize("kind, s, own", [
+    ("c", "1", 0), ("c", "-1", 0), ("cprime", "2", 1), ("cprime", "-1", 1),
+])
+def test_coeff_refuses_an_s_its_kind_does_not_compute_with(capsys, kind, s, own):
+    for cell in ([], ["--j", "2", "--k", "1"]):
+        assert run(capsys, "coeff", "--kind", kind, "--s", s, "--i", "6", *cell) == (
+            2, "", f"usage error: --kind {kind} fixes s = {own}, got --s {s}\n")
+
+
+def test_coeff_echoes_the_s_its_kind_computes_with(capsys):
+    cell = ["--i", "6", "--j", "2", "--k", "1"]
+    cprime = [run_json(capsys, "coeff", "--kind", "cprime", *s, *cell)
+              for s in ([], ["--s", "0"], ["--s", "1"])]
+    assert cprime[0] == cprime[1] == cprime[2]
+    assert cprime[0]["params"]["s"] == 1
+    cs = run_json(capsys, "coeff", "--kind", "cs", "--s", "1", *cell)
+    assert cprime[0]["payload"] == cs["payload"]
+    assert run_json(capsys, "coeff", "--kind", "c", "--s", "0", *cell)["params"]["s"] == 0
+
+
 def test_coeff_grid_mode(capsys):
     env = run_json(capsys, "coeff", "--kind", "c", "--i", "4")
     grid = env["payload"]
@@ -532,6 +567,8 @@ def test_appendix_roundtrip(capsys):
 def test_ising_and_walk(capsys):
     env = run_json(capsys, "ising", "total", "--N", "8", "--nu", "0.0")
     assert env["payload"] == pytest.approx(256.0)
+    assert run(capsys, "ising", "total", "--N", "8", "--nu", "0.0") == (
+        0, '# ising {"N": 8, "mode": "total", "nu": 0.0} (closed-form)\n256.0\n', "")
     env = run_json(capsys, "ising", "fixed", "--N", "4", "--n", "2", "--nu", "0.0")
     assert env["payload"] == pytest.approx(6.0)
     env = run_json(capsys, "walk", "--N", "7", "--k", "1", "--alpha", "0.5")
@@ -561,6 +598,17 @@ def test_moments(capsys):
     assert env["payload"]["approx"] == pytest.approx(58.6667, abs=1e-3)
 
 
+@pytest.mark.parametrize("m, n, r, exact, approx", [
+    (1, 1, 500, 1, 1.0), (2, 3, 700, 6 + 3 * 2**700, 1.349e278),
+], ids=["1-1-500", "2-3-700"])
+def test_moments_approx_answers_at_high_orders(capsys, m, n, r, exact, approx):
+    exactmath.stirling2.cache_clear()  # cold, as in a fresh process
+    env = run_json(capsys, "moments", "--m", str(m), "--n", str(n), "--r", str(r), "--approx")
+    assert env["payload"]["exact"] == str(exact)
+    num, den = map(int, env["payload"]["approx_rational"].split("/"))
+    assert env["payload"]["approx"] == num / den == pytest.approx(approx, rel=1e-3)
+
+
 def test_asym(capsys):
     env = run_json(capsys, "asym", "--m", "5", "--n", "5", "--tau", "2")
     assert env["payload"] == pytest.approx(8.6206, abs=1e-3)
@@ -569,6 +617,44 @@ def test_asym(capsys):
     assert pairs[0] == ["0.0", "0.000000"]
     assert len(pairs) == 121
     assert float(pairs[60][1]) == pytest.approx(128.095, abs=1e-2)
+    assert run(capsys, "asym", "--m", "5", "--n", "5", "--sweep") == (
+        0, '# asym {"m": 5, "n": 5, "sweep": true} (closed-form)\n'
+        + "".join(f"{x} {value}\n" for x, value in pairs), "")
+
+
+@pytest.mark.parametrize("argv, params", [
+    (["tnum", "--n", "4", "--m", "3"], {"m": 3, "n": 4}),
+    (["tnum", "--tau", "2", "--m", "3", "--n", "4"], {"m": 3, "n": 4, "tau": 2}),
+    (["dist", "--pattern", "01", "--m", "3", "--n", "3"],
+     {"m": 3, "n": 3, "pattern": "01", "via": "closed"}),
+    (["dist", "--m", "3", "--n", "3", "--via", "oracle", "--pattern", "0110"],
+     {"m": 3, "n": 3, "pattern": "0110", "via": "oracle"}),
+    (["coeff", "--i", "4", "--kind", "cs"], {"kind": "cs", "s": 0, "i": 4}),
+    (["coeff", "--kind", "cweight", "--s", "1", "--m", "7", "--g", "3", "--j", "3"],
+     {"kind": "cweight", "s": 1, "i": 7, "j": 3, "k": 3}),
+    (["appendix", "--which", "c_by_k"], {"which": "c_by_k"}),
+    (["appendix", "--index", "2", "--which", "c_by_k"], {"which": "c_by_k", "index": 2}),
+    (["fib", "--h", "0", "--r", "3", "--N", "5"], {"N": 5, "r": 3, "h": 0}),
+    (["kaplansky", "--N", "6", "--n", "2", "--p", "2"], {"N": 6, "n": 2, "p": 2}),
+    (["ising", "fixed", "--nu", "0.5", "--n", "2", "--N", "4"],
+     {"mode": "fixed", "N": 4, "n": 2, "nu": 0.5}),
+    (["ising", "total", "--N", "8", "--nu", "0.5"], {"mode": "total", "N": 8, "nu": 0.5}),
+    (["walk", "--N", "7", "--k", "1", "--alpha", "0.3"], {"N": 7, "k": 1, "alpha": 0.3}),
+    (["moments", "--m", "4", "--n", "2", "--r", "3"], {"m": 4, "n": 2, "r": 3, "approx": False}),
+    (["moments", "--approx", "--m", "4", "--n", "2", "--r", "3"],
+     {"m": 4, "n": 2, "r": 3, "approx": True}),
+    (["asym", "--m", "3", "--n", "3"], {"m": 3, "n": 3}),
+    (["asym", "--tau", "2", "--m", "3", "--n", "3"], {"m": 3, "n": 3, "tau": 2}),
+    (["asym", "--sweep", "--m", "3", "--n", "3"], {"m": 3, "n": 3, "sweep": True}),
+    (["verify", "--max-N", "4"], {"max_N": 4}),
+])
+def test_the_envelope_echoes_every_given_or_defaulted_option_in_declaration_order(
+        capsys, argv, params):
+    code, out, err = run(capsys, argv[0], "--format", "json", *argv[1:])
+    assert code == 0, err
+    env = json.loads(out)
+    assert env["command"] == argv[0]
+    assert list(env["params"].items()) == list(params.items())
 
 
 def test_deterministic_output(capsys):

@@ -58,6 +58,14 @@ def test_stirling2_examples():
         assert stirling2(r, r) == 1
 
 
+def test_stirling2_matches_the_explicit_sum_up_to_order_60():
+    # S(r, l) = (1/l!) sum_j (-1)^j C(l, j) (l - j)^r, zero for l > r
+    for r in range(61):
+        for l in range(r + 2):
+            terms = sum((-1) ** j * math.comb(l, j) * (l - j) ** r for j in range(l + 1))
+            assert stirling2(r, l) == terms // math.factorial(l), (r, l)
+
+
 @given(st.integers(min_value=1, max_value=15), st.integers(min_value=1, max_value=15))
 def test_stirling2_recurrence(r, l):
     assert stirling2(r, l) == l * stirling2(r - 1, l) + stirling2(r - 1, l - 1)
