@@ -19,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 # analytics, oracle and verification load fractions, the enumerator and the
 # published tables, so only the runners that call them import them
@@ -265,7 +265,7 @@ def _run_coeff(args) -> tuple:
         raise ValueError(f"--kind {args.kind} fixes s = {own}, got --s {args.s}")
     args.s = own  # echoed as the s the kind computes with
     if (args.j is None) != (args.k is None):
-        raise DomainError("coeff takes --j and --k (or --g) together, or neither")
+        raise ValueError("coeff takes --j and --k (or --g) together, or neither")
     if args.j is not None:
         return str(_coeff_value(args.kind, args.s, args.i, args.j, args.k)), "closed-form"
     # no cell given: emit the whole grid for this fixed upper index, evaluating

@@ -13,14 +13,12 @@ lends a row walk exact decimal cells that print in linear time.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from contextlib import contextmanager
 from functools import lru_cache
 from itertools import accumulate
-from typing import Iterator, TypeVar
 
 from .errors import DegenerateFamily, InexactDivision, UnsupportedPattern
-
-Cell = TypeVar("Cell")  # int, or an integral Decimal under exact_decimal
 
 
 def binomial(a: int, b: int) -> int:
@@ -37,7 +35,7 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-def exact_div(num: Cell, den: int) -> Cell:
+def exact_div(num, den: int):
     """num / den for a division that the counting formulas guarantee to be exact.
 
     A remainder means a formula is wrong.  It raises InexactDivision, a
@@ -50,7 +48,7 @@ def exact_div(num: Cell, den: int) -> Cell:
     return q
 
 
-def binomial_products(m: int, n: int, one: Cell = 1) -> Iterator[Cell]:
+def binomial_products(m: int, n: int, one=1) -> Iterator:
     """The row C(m, h) C(n, h) for h = 0..min(m, n), starting from the cell one.
 
     Walked lazily by its exact ratio P(h+1) = P(h) (m-h)(n-h) / (h+1)^2, each

@@ -23,6 +23,8 @@ the counts by the number h of blocks of ones instead.
 
 from __future__ import annotations
 
+from itertools import takewhile
+
 from .errors import UnsupportedPattern
 from .exactmath import (
     Record, SequenceFamily, binomial, demoivre, exact_div, nondegenerate_family, parse_pattern,
@@ -58,28 +60,31 @@ def flip(pattern: str) -> str:
 
 
 def _marked_parts(N: int, n: int, marked):
-    """Counter h -> words with h parts that meet a condition, from the marked counts.
+    """(count, top) of the words by the number of their parts that meet a condition.
 
     marked(u) is B(u), the compositions of N into n parts with u of them
-    marked, each marked part meeting the condition.  The row of counts is the
-    coefficient list of sum_u B(u) (x - 1)^u, by Horner's rule from the last
-    nonzero B(u), in additions only; its cells times N/n count the words.
+    marked, each marked part meeting the condition; B(u) is nonzero up to
+    top and zero past it, so only those are built.  The row of counts is the
+    coefficient list of sum_u B(u) (x - 1)^u, by Horner's rule in additions
+    only, times N/n; its last cell is B(top) N/n.
     """
-    marks = [marked(u) for u in range(n + 1)]
-    while not marks[-1]:
-        marks.pop()
     row: list[int] = []
-    for b in reversed(marks):
+    for b in reversed(list(takewhile(bool, map(marked, range(n + 1))))):
         row = [x - y for x, y in zip([b, *row], [*row, 0])]  # row (x - 1) + b
     row = [exact_div(N * cell, n) for cell in row]
-    return lambda h: row[h] if h < len(row) else 0
+    return row.__getitem__, len(row) - 1
 
 
 def _shape_count(pattern: str):
-    """Counter of a solved shape as written, or None: (m, n) -> (h -> count)."""
+    """Counter of a solved shape as written, or None: (m, n) -> (count, top).
+
+    top is the largest occurrence count with a nonzero count, and count(h)
+    the sequences with h occurrences, for h in 0..top.
+    """
     r = len(pattern) - 1
-    if pattern == "0" * (r + 1):
-        return lambda m, n: lambda g: exact_div((m + n) * c_weight_tableau(r, m + n, g, n), n)
+    if pattern == "0" * (r + 1):  # top: every zero in one block
+        return lambda m, n: (
+            lambda g: exact_div((m + n) * c_weight_tableau(r, m + n, g, n), n), max(m - r, 0))
     if r >= 1 and pattern in ("0" * r + "1", "1" + "0" * r):  # parts longer than r
         return lambda m, n: _marked_parts(
             m + n, n, lambda u: binomial(n, u) * demoivre(n, m + n - r * u))
@@ -90,7 +95,7 @@ def _shape_count(pattern: str):
 
 
 def _solved_count(pattern: str):
-    """Counter (m, n) -> (h -> count) of a solved pattern or of its digit swap, or None."""
+    """Counter (m, n) -> (count, top) of a solved pattern or of its digit swap, or None."""
     count = _shape_count(pattern)
     if count is not None:
         return count
@@ -105,13 +110,10 @@ def is_solved_pattern(pattern: str) -> bool:
     return _solved_count(parse_pattern(pattern)) is not None
 
 
-def pattern_counter(m: int, n: int, pattern: str):
-    """The count h -> sequences of the family with h cyclic occurrences of the pattern.
+def _resolved(m: int, n: int, pattern: str):
+    """(count, top) of a solved pattern on the family; a 0^r 1 or 101 row is built here.
 
-    The query is checked, and the closed form looked up and, for 0^r 1 and
-    101, its whole row built, once, so a caller that counts many h pays for
-    that once.  A negative h counts nothing; an unsolved pattern raises when
-    it is counted.
+    The query is checked in order: digits, family, length below N, closed form.
     """
     pattern = parse_pattern(pattern)
     N = nondegenerate_family(m, n).N
@@ -119,22 +121,18 @@ def pattern_counter(m: int, n: int, pattern: str):
         raise UnsupportedPattern(
             f"pattern length {len(pattern)} must be below the sequence length {N}")
     solved = _solved_count(pattern)
-    count = None if solved is None else solved(m, n)
-
-    def counter(h: int) -> int:
-        if h < 0:
-            return 0
-        if count is None:
-            raise UnsupportedPattern(
-                f"no closed form for pattern {pattern!r}; use the oracle for it")
-        return count(h)
-
-    return counter
+    if solved is None:
+        raise UnsupportedPattern(f"no closed form for pattern {pattern!r}; use the oracle for it")
+    return solved(m, n)
 
 
 def count_pattern(m: int, n: int, pattern: str, h: int) -> int:
-    """Exact number of sequences of the family with h cyclic occurrences of the pattern."""
-    return pattern_counter(m, n, pattern)(h)
+    """Exact number of sequences of the family with h cyclic occurrences of the pattern.
+
+    Only the one cell is evaluated; an h outside 0..top counts nothing.
+    """
+    count, top = _resolved(m, n, pattern)
+    return count(h) if 0 <= h <= top else 0
 
 
 def pattern_distribution(m: int, n: int, pattern: str) -> CountDistribution:
@@ -143,10 +141,9 @@ def pattern_distribution(m: int, n: int, pattern: str) -> CountDistribution:
     Entries run from 0 to the largest occurrence count with a nonzero count;
     interior zeros are kept so the index range is contiguous.
     """
-    count = pattern_counter(m, n, pattern)
-    counts = [count(h) for h in range(m + n + 1)]
-    top = max((h for h, v in enumerate(counts) if v), default=0)
-    return CountDistribution(SequenceFamily(m, n), "occurrences", dict(enumerate(counts[: top + 1])))
+    count, top = _resolved(m, n, pattern)
+    return CountDistribution(SequenceFamily(m, n), "occurrences",
+                             {h: count(h) for h in range(top + 1)})
 
 
 def _joint(m: int, n: int, patterns: tuple[str, ...], cells) -> JointDistribution:
@@ -198,8 +195,6 @@ def kaplansky(N: int, n: int, p: int) -> int:
     """
     if N < 1 or n < 0 or p < 1:
         raise ValueError(f"need N >= 1, n >= 0, p >= 1, got ({N}, {n}, {p})")
-    if n == 0:
-        return 1
     if n == 1:
         return N  # no pair to constrain
     reduced = N - (p - 1) * n
@@ -216,7 +211,7 @@ def _all_words(N: int, pattern: str, h: int) -> int:
     """
     count = _solved_count(pattern)
     total = [N if pattern == digit * len(pattern) else 0 for digit in "01"].count(h)
-    return total + sum(count(m, N - m)(h) for m in range(1, N))
+    return total + sum(cell(h) for cell, top in (count(m, N - m) for m in range(1, N)) if h <= top)
 
 
 def fibonacci_gf(N: int, r: int, h: int) -> int:

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterator
 from itertools import product
-from typing import Iterator
 
 from .errors import InvalidTau
 from .exactmath import (
-    Cell, Record, SequenceFamily, binomial, binomial_products, exact_div, nondegenerate_family,
+    Record, SequenceFamily, binomial, binomial_products, exact_div, nondegenerate_family,
     partitions_exact,
 )
 
@@ -54,7 +54,7 @@ def t_number(m: int, n: int, tau: int) -> int:
     return exact_div((m + n) * h * binomial(m, h) * binomial(n, h), m * n)
 
 
-def jump_row(m: int, n: int, one=1) -> Iterator[tuple[int, Cell]]:
+def jump_row(m: int, n: int, one=1) -> Iterator[tuple]:
     """The family's (tau, count) cells in increasing tau, each walked as it is drawn.
 
     The family is checked at once.  A degenerate family gives the one cell

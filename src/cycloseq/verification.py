@@ -12,7 +12,7 @@ from one `_pattern_comparisons` over a census of the requested patterns.
 
 `run_verify` does each piece of work once: it refuses a family over the
 oracle cap before any sweep, enumerates each family once and lets every
-tally of it read those classes, looks up each pattern's closed form once per
+tally of it read those classes, builds each pattern's distribution once per
 family, and walks the compositions for the deletion matrix once.
 """
 
@@ -83,9 +83,9 @@ def _pattern_comparisons(max_n: int, patterns: list[str], classes: ClassesOf):
         census = oracle.pattern_census(m, n, [p for p in patterns if len(p) < m + n],
                                        classes=classes(m, n))
         for pattern, expected in census.items():
-            count = patterncounts.pattern_counter(m, n, pattern)
+            dist = patterncounts.pattern_distribution(m, n, pattern)
             for h in range(max(expected) + 2):
-                yield ({"m": m, "n": n, "pattern": pattern, "h": h}, count(h), expected.get(h, 0))
+                yield ({"m": m, "n": n, "pattern": pattern, "h": h}, dist[h], expected.get(h, 0))
 
 
 def _census(pairs) -> list[tuple]:

@@ -12,7 +12,7 @@ from cycloseq.analytics import (
     t_asymptotic,
     wallis_pi,
 )
-from cycloseq.errors import InvalidTau
+from cycloseq.errors import DegenerateFamily, InvalidTau
 from cycloseq.exactmath import binomial
 from cycloseq.reference_tables import (
     ASYMPTOTIC_ROW_COMPUTED,
@@ -156,3 +156,24 @@ def test_allwords_gaussian():
         )
     total = sum(allwords_jump_gaussian(20, tau) for tau in range(0, 21, 2))
     assert abs(total / 2**20 - 1) < 0.02
+
+
+@pytest.mark.parametrize("function, args, error", [
+    (moment_sum, (-1, 3, 2), ValueError),
+    (moment_sum, (3, 3, -1), ValueError),
+    (moment_approx, (0, 3, 2), ValueError),
+    (moment_approx, (3, 3, -1), ValueError),
+    (binomial_jump_pmf, (0, 3, 2), DegenerateFamily),
+    (binomial_jump_pmf, (3, 3, 3), InvalidTau),
+    (binomial_jump_pmf, (3, 3, 8), InvalidTau),
+    (stirling_binomial, (0, 0), ValueError),
+    (wallis_pi, (0,), ValueError),
+    (wallis_pi, (5,), ValueError),
+    (t_asymptotic, (3, 0, 2), DegenerateFamily),
+    (t_asymptotic, (3, 3, -1), InvalidTau),
+    (allwords_jump_gaussian, (0, 0), ValueError),
+])
+def test_arguments_outside_the_domain_are_refused(function, args, error):
+    with pytest.raises(error) as exc:
+        function(*args)
+    assert exc.type is error

@@ -253,13 +253,14 @@ def test_no_assert_statements_in_the_package():
 @pytest.mark.parametrize("module, absent", [
     ("cycloseq.cli", ["cycloseq.analytics", "cycloseq.oracle", "cycloseq.verification",
                       "cycloseq.reference_tables", "fractions", "decimal", "dataclasses",
-                      "inspect", "csv"]),
+                      "inspect", "csv", "typing"]),
     ("cycloseq.oracle", ["cycloseq.patterncounts", "cycloseq.coeffs", "cycloseq.tnumbers"]),
 ])
 def test_a_fresh_import_loads_only_what_the_module_calls(module, absent):
-    # the CLI defers the layers few commands run; the oracle imports no closed form
+    # the CLI defers the layers few commands run; the oracle imports no closed form.
+    # -S keeps site, whose .pth files may import modules such as typing, out of the probe
     probe = subprocess.run(
-        [sys.executable, "-c", f"import sys, {module}; print(' '.join(sorted(sys.modules)))"],
+        [sys.executable, "-S", "-c", f"import sys, {module}; print(' '.join(sorted(sys.modules)))"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC}, timeout=60,
     )
     assert probe.returncode == 0, probe.stderr
@@ -509,8 +510,12 @@ def test_coeff_grid_mode(capsys):
     assert grid["row_labels"] == [0, 1, 2, 3, 4]
     assert grid["rows"][2] == ["0", "2", "1", "0", "0"]  # j = 2
     assert grid["rows"][4][0] == "4"  # matrix-convention diagonal
-    code, _, err = run(capsys, "coeff", "--kind", "c", "--i", "4", "--j", "2")
-    assert code == 3 and "together" in err
+
+
+@pytest.mark.parametrize("cell", [["--j", "2"], ["--k", "1"], ["--g", "1"]])
+def test_coeff_with_one_cell_index_is_a_usage_error(capsys, cell):
+    assert run(capsys, "coeff", "--kind", "c", "--i", "4", *cell) == (
+        2, "", "usage error: coeff takes --j and --k (or --g) together, or neither\n")
 
 
 @pytest.mark.parametrize("kind, s, i", [
@@ -778,10 +783,12 @@ def test_verify_confirms_bounded_ledger_items_from_n5(capsys):
         "inclusion-exclusion closed form matches enumeration")
 
 
-def _bump_pattern_counter(real):
+def _bump_pattern_distribution(real):
     def patched(m, n, p):
-        count = real(m, n, p)
-        return lambda h: count(h) + ((m, n, p, h) == (2, 1, "0", 2))
+        dist = real(m, n, p)
+        if (m, n, p) == (2, 1, "0"):
+            dist.entries[2] += 1
+        return dist
     return patched
 
 
@@ -809,7 +816,7 @@ def _bump_type_census(real):
 
 
 @pytest.mark.parametrize("module, name, bump, check, case", [
-    (patterncounts, "pattern_counter", _bump_pattern_counter,
+    (patterncounts, "pattern_distribution", _bump_pattern_distribution,
      "pattern closed forms vs enumeration", {"m": 2, "n": 1, "pattern": "0", "h": 2}),
     (tnumbers, "t_distribution", _bump_t_distribution,
      "jump distributions vs enumeration", {"m": 2, "n": 3}),

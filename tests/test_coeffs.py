@@ -272,3 +272,10 @@ def test_pascal_identity(k):
         for j in range(0, i + 1):
             right = sum(c_tableau(i - j, f, k) * binomial(j, f) for f in range(0, j + 1))
             assert c_general(1, i, j, k) == right, (i, j)
+
+
+@pytest.mark.parametrize("i, j, k", [(-1, 0, 0), (3, -1, 0), (3, 1, -1)])
+def test_c_tableau_refuses_a_negative_index(i, j, k):
+    with pytest.raises(ValueError, match="indices must be nonnegative") as exc:
+        c_tableau(i, j, k)
+    assert exc.type is ValueError

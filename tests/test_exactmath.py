@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from cycloseq import exactmath
 from cycloseq.errors import DomainError, InexactDivision
 from cycloseq.exactmath import (
+    Record,
     SequenceFamily,
     binomial,
     binomial_products,
@@ -237,3 +238,20 @@ def test_binomial_products_step_through_the_checked_division(monkeypatch):
     assert next(walk) == 1 and dens == []  # a cell is walked only when it is drawn
     assert list(walk)[-1] == math.comb(9, 6)
     assert dens == [(h + 1) ** 2 for h in range(6)]
+
+
+class _Pair(Record):
+    __slots__ = ("first", "second")
+
+
+@pytest.mark.parametrize("function, args, error", [
+    (falling_factorial, (5, -1), ValueError),
+    (stirling2, (-1, 0), ValueError),
+    (stirling2, (3, -1), ValueError),
+    (_Pair, (1,), TypeError),
+    (_Pair, (1, 2, 3), TypeError),
+])
+def test_arguments_outside_the_domain_are_refused(function, args, error):
+    with pytest.raises(error) as exc:
+        function(*args)
+    assert exc.type is error

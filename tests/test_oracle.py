@@ -206,3 +206,11 @@ def test_cap(monkeypatch):
         list(oracle.rotation_classes(4, 4))
     monkeypatch.delenv("CYCLOSEQ_ORACLE_CAP")
     assert oracle.oracle_cap() == 20
+
+
+@pytest.mark.parametrize("N, error", [(0, ValueError), (-1, ValueError), (21, CapExceeded)])
+def test_check_cap_refuses_lengths_outside_1_to_the_cap(monkeypatch, N, error):
+    monkeypatch.delenv("CYCLOSEQ_ORACLE_CAP", raising=False)
+    with pytest.raises(error) as exc:
+        oracle.check_cap(N)
+    assert exc.type is error

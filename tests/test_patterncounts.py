@@ -111,8 +111,9 @@ def test_unsupported_patterns():
         count_pattern(4, 4, "21", 0)
     with pytest.raises(UnsupportedPattern):
         pattern_distribution(4, 4, "0110")
-    # a negative occurrence count is answered before the pattern is refused
-    assert count_pattern(5, 3, "0110", -1) == 0
+    # the pattern is refused before the occurrence count is looked at
+    with pytest.raises(UnsupportedPattern):
+        count_pattern(5, 3, "0110", -1)
     assert not is_solved_pattern("0110")
     assert all(is_solved_pattern(p) for p in SOLVED)
 
@@ -367,6 +368,8 @@ def test_kaplansky_examples():
     assert kaplansky(12, 3, 1) == binomial(12, 3)
     for N in range(1, 10):
         assert kaplansky(N, 1, 3) == N
+        for p in (1, 2, 7):
+            assert kaplansky(N, 0, p) == 1  # the empty selection
     assert kaplansky(4, 2, 2) == 2
     assert kaplansky(5, 2, 3) == 0  # three spaced points cannot fit two gaps of two
 
@@ -428,6 +431,7 @@ def test_fibonacci_completeness():
 
 
 def test_all_sequences_001():
+    assert all_sequences_001(8, -1) == 0
     assert all_sequences_001(8, 0) == 48
     assert all_sequences_001(8, 1) == 160
     assert all_sequences_001(8, 2) == 48
@@ -439,3 +443,9 @@ def test_all_sequences_001():
                              lambda word: cyclic_occurrences(word, N, "001"))
         for l in range(N + 1):
             assert all_sequences_001(N, l) == brute.get(l, 0)
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (4, 4), (5, 3), (3, 6)])
+def test_a_joint_table_totals_its_family(m, n):
+    for joint in (joint_01_001(m, n), joint_01_101(m, n), triple_01_001_0001(m, n)):
+        assert joint.total == binomial(m + n, n), joint.patterns

@@ -193,3 +193,14 @@ def test_totals_beyond_the_double_range():
         ising_partition_fixed(2000, 1000, 1.0)
     with pytest.raises(BeyondDoubleRange, match="exceeds the double range"):
         ising_partition_total(5000, 1.0)
+
+
+@pytest.mark.parametrize("function, args, error", [
+    (ising_partition_fixed, (0, 0, 0.5), ValueError),
+    (ising_partition_total, (0, 0.5), ValueError),
+    (walk_weight_polynomial, (0, 0), ValueError),
+])
+def test_an_empty_ring_is_refused(function, args, error):
+    with pytest.raises(error, match="need N >= 1") as exc:
+        function(*args)
+    assert exc.type is error

@@ -176,3 +176,14 @@ def test_type_census_against_oracle(N):
         census = type_census(m, N - m)
         assert sorted(census, key=lambda row: (len(row[0][0]), row[0])) == census
         assert dict(census) == oracle.type_census(m, N - m)
+
+
+@pytest.mark.parametrize("args, error", [
+    ((0, 0), ValueError),
+    ((-2, 2), ValueError),
+    ((4, -2), InvalidTau),
+])
+def test_t_sum_over_n_refuses_what_has_no_words(args, error):
+    with pytest.raises(error) as exc:
+        t_sum_over_n(*args)
+    assert exc.type is error
