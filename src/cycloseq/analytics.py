@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 
 from .errors import DegenerateFamily, InvalidTau, within_double_range
-from .exactmath import binomial, binomial_products, falling_factorial, stirling2
+from .exactmath import binomial, binomial_products, stirling2
 
 
 def moment_sum(m: int, n: int, r: int) -> int:
@@ -24,41 +24,29 @@ def moment_sum(m: int, n: int, r: int) -> int:
     return sum(h**r * p for h, p in enumerate(binomial_products(m, n)))
 
 
-def _expansion_coefficient(m: int, n: int, l: int) -> Fraction:
-    """Coefficient multiplying S(r-1, l) in the moment expansion; the l = 1 value is 1."""
-    if l == 1:
-        return Fraction(1)
-    N = m + n
-    return (
-        Fraction(2 * m * n, N) ** (l - 1)
-        * falling_factorial(N - 2, l - 2)
-        / Fraction(N - 1) ** (l - 2)
-    )
-
-
 def moment_approx(m: int, n: int, r: int) -> Fraction:
     """Stirling-expansion approximation of the moment sum, as an exact rational.
 
-    Exact for r <= 1 and, when m = n, for r <= 3; beyond that it is the
-    binomial-model estimate.  The Stirling support bounds the expansion index
-    at r - 1.
+    For r >= 1 the series is sum_l S(r-1, l) e_l over l = 0..r-1, walked
+    from e_0 = (N-1)/(2mn) by e_{l+1} = e_l 2mn (N-l) / (N (N-1)); the
+    l = 0 term is the whole series at r = 1 and vanishes beyond.  Exact for
+    r <= 1 and, when m = n, for r <= 3; beyond that it is the binomial-model
+    estimate.
     """
     if m < 1 or n < 1 or r < 0:
         raise ValueError("need m, n >= 1 and r >= 0")
     N = m + n
     if r == 0:
         return Fraction(binomial(N, m))
-    if r == 1:
-        return Fraction(m * n, N) * binomial(N, m)
     prefactor = (
         Fraction(binomial(N, min(m, n)))
         * Fraction(m * m * n * n)
         / (Fraction(2) ** (r - 2) * N * (N - 1))
     )
-    series = sum(
-        (stirling2(r - 1, l) * _expansion_coefficient(m, n, l) for l in range(1, r)),
-        start=Fraction(0),
-    )
+    series, term = Fraction(0), Fraction(N - 1, 2 * m * n)
+    for l in range(r):
+        series += stirling2(r - 1, l) * term
+        term *= Fraction(2 * m * n * (N - l), N * (N - 1))
     return prefactor * series
 
 

@@ -1,16 +1,17 @@
 """Deterministic command-line front end.
 
 Every command prints an output envelope carrying the command echo, its
-parameters, a format version and the payload; identical invocations produce
-byte-identical output.  The parameters are every option the query was given
-or defaulted, except --format and those left None, in declaration order.  Exact counts are serialized as decimal strings so
-arbitrary precision survives JSON.  The rows of tnum and dist stream one
-cell at a time, each count walked and printed as it is written.  Exit codes:
-0 success, 1 a failed `verify` check, 2 usage error, 3 domain error, 4 the
-output could not be written (a closed pipe or a full device).  Every refusal
-(exit 2 or 3) comes before the first byte; an engine defect mid-row
-(InexactDivision, a trapped decimal rounding) ends in a traceback, exit 1,
-after a partial envelope.
+parameters, a format version, the route that answered and the payload;
+identical invocations produce byte-identical output.  The parameters are
+every option the query was given or defaulted, except --format and those
+left None, in declaration order.  Exact counts are serialized as decimal
+strings so arbitrary precision survives JSON.  The rows of tnum and dist
+stream one cell at a time, each count walked and printed as it is written.
+Exit codes: 0 success, 1 a failed `verify` check, 2 usage error, 3 domain
+error, 4 the output could not be written (a closed pipe or a full device).
+Every refusal (exit 2 or 3) comes before the first byte; an engine defect
+mid-row (InexactDivision, a trapped decimal rounding) ends in a traceback,
+exit 1, after a partial envelope.
 """
 
 from __future__ import annotations
@@ -29,14 +30,19 @@ from .errors import DegenerateFamily, DomainError
 FORMAT_VERSION = "1"
 
 
-def _envelope(args: argparse.Namespace, payload, provenance: str) -> dict:
-    """The query's envelope, echoing every option that is not None, in declaration order."""
+def _envelope(args: argparse.Namespace, payload) -> dict:
+    """The query's envelope, echoing every option that is not None, in declaration order.
+
+    Its provenance is the route that answered: both for verify, the oracle for
+    dist --via oracle, a closed form for every other query.
+    """
     return {
         "command": args.cmd,
         "params": {k: v for k, v in vars(args).items()
                    if k not in ("cmd", "format") and v is not None},
         "format_version": FORMAT_VERSION,
-        "provenance": provenance,
+        "provenance": ("both" if args.cmd == "verify" else
+                       "oracle" if getattr(args, "via", None) == "oracle" else "closed-form"),
         "payload": payload,
     }
 
@@ -223,12 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_tnum(args) -> tuple:
+def _run_tnum(args):
     if args.tau is not None:
-        return str(tnumbers.t_number(args.m, args.n, args.tau)), "closed-form"
+        return str(tnumbers.t_number(args.m, args.n, args.tau))
     exactmath.SequenceFamily(args.m, args.n)  # refused here, before the first byte is written
     taus = range(2, 2 * min(args.m, args.n) + 1, 2) or range(1)  # a constant family: tau = 0
-    return _Row(taus, _decimal_counts(args.m, args.n)), "closed-form"
+    return _Row(taus, _decimal_counts(args.m, args.n))
 
 
 def _decimal_counts(m: int, n: int) -> Iterator[str]:
@@ -242,13 +248,13 @@ def _decimal_counts(m: int, n: int) -> Iterator[str]:
         yield from (str(count) for _, count in tnumbers.jump_row(m, n, one))
 
 
-def _run_dist(args) -> tuple:
+def _run_dist(args):
     if args.via == "oracle":
         from . import oracle
 
-        return _row(oracle.pattern_distribution(args.m, args.n, args.pattern)), "oracle"
+        return _row(oracle.pattern_distribution(args.m, args.n, args.pattern))
     dist = patterncounts.pattern_distribution(args.m, args.n, args.pattern)
-    return _row(dist.entries), "closed-form"
+    return _row(dist.entries)
 
 
 def _coeff_value(kind: str, s: int, i: int, j: int, k: int) -> int:
@@ -259,7 +265,7 @@ def _coeff_value(kind: str, s: int, i: int, j: int, k: int) -> int:
     return coeffs.c_general(s, i, j, k)  # cprime is cs at s = 1
 
 
-def _run_coeff(args) -> tuple:
+def _run_coeff(args):
     own = {"c": 0, "cprime": 1}.get(args.kind, args.s)  # c and cprime fix their own s
     if args.s not in (0, own):
         raise ValueError(f"--kind {args.kind} fixes s = {own}, got --s {args.s}")
@@ -267,7 +273,7 @@ def _run_coeff(args) -> tuple:
     if (args.j is None) != (args.k is None):
         raise ValueError("coeff takes --j and --k (or --g) together, or neither")
     if args.j is not None:
-        return str(_coeff_value(args.kind, args.s, args.i, args.j, args.k)), "closed-form"
+        return str(_coeff_value(args.kind, args.s, args.i, args.j, args.k))
     # no cell given: emit the whole grid for this fixed upper index, evaluating
     # its first cell even when it is empty, to refuse what point queries refuse
     row_lo = 1 if args.kind == "cweight" else 0
@@ -277,36 +283,33 @@ def _run_coeff(args) -> tuple:
         [str(_coeff_value(args.kind, args.s, args.i, j, k)) for k in range(args.i + 1)]
         for j in labels
     ]
-    payload = {"kind": args.kind, "fixed_index": args.i, "row_labels": labels, "rows": rows}
-    return payload, "closed-form"
+    return {"kind": args.kind, "fixed_index": args.i, "row_labels": labels, "rows": rows}
 
 
-def _run_appendix(args) -> tuple:
+def _run_appendix(args):
     blocks = coeffs.appendix_tables(args.which, args.index)
-    payload = [
+    return [
         {"kind": b["kind"], "fixed_index": b["fixed_index"],
          "rows": [[str(v) for v in row] for row in b["rows"]]}
         for b in blocks
     ]
-    return payload, "closed-form"
 
 
-def _run_moments(args) -> tuple:
+def _run_moments(args):
     from . import analytics
 
     exact = analytics.moment_sum(args.m, args.n, args.r)
     if not args.approx:
-        return str(exact), "closed-form"
+        return str(exact)
     approx = analytics.moment_approx(args.m, args.n, args.r)
-    payload = {
+    return {
         "exact": str(exact),
         "approx": float(approx),
         "approx_rational": f"{approx.numerator}/{approx.denominator}",
     }
-    return payload, "closed-form"
 
 
-def _run_asym(args) -> tuple:
+def _run_asym(args):
     from . import analytics
 
     if args.m < 1 or args.n < 1:
@@ -317,14 +320,14 @@ def _run_asym(args) -> tuple:
         for step in range(0, 10 * top + 1):
             x = step / 10.0
             pairs.append([f"{x:.1f}", f"{analytics.t_asymptotic(args.m, args.n, x):.6f}"])
-        return pairs, "closed-form"
+        return pairs
     if args.tau is not None:
-        return analytics.t_asymptotic(args.m, args.n, args.tau), "closed-form"
+        return analytics.t_asymptotic(args.m, args.n, args.tau)
     dist = {
         tau: analytics.t_asymptotic(args.m, args.n, tau)
         for tau in range(2, 2 * min(args.m, args.n) + 3, 2)
     }
-    return {str(k): v for k, v in dist.items()}, "closed-form"
+    return {str(k): v for k, v in dist.items()}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -346,19 +349,17 @@ def _run(parser: argparse.ArgumentParser, args) -> int:
     out = sys.stdout
     try:
         if args.cmd == "tnum":
-            payload, provenance = _run_tnum(args)
+            payload = _run_tnum(args)
         elif args.cmd == "dist":
-            payload, provenance = _run_dist(args)
+            payload = _run_dist(args)
         elif args.cmd == "coeff":
-            payload, provenance = _run_coeff(args)
+            payload = _run_coeff(args)
         elif args.cmd == "appendix":
-            payload, provenance = _run_appendix(args)
+            payload = _run_appendix(args)
         elif args.cmd == "fib":
             payload = str(patterncounts.fibonacci_gf(args.N, args.r, args.h))
-            provenance = "closed-form"
         elif args.cmd == "kaplansky":
             payload = str(patterncounts.kaplansky(args.N, args.n, args.p))
-            provenance = "closed-form"
         elif args.cmd == "ising":
             if args.mode == "fixed":
                 if args.n is None:
@@ -368,29 +369,25 @@ def _run(parser: argparse.ArgumentParser, args) -> int:
                 if args.n is not None:
                     parser.error("ising total takes no --n")
                 payload = physics.ising_partition_total(args.N, args.nu)
-            provenance = "closed-form"
         elif args.cmd == "walk":
             poly = physics.walk_weight_polynomial(args.N, args.k)
             payload = {
                 "coefficients": {str(k): str(v) for k, v in sorted(poly.coefficients.items())},
                 "scalar": poly.scalar(args.alpha),
             }
-            provenance = "closed-form"
         elif args.cmd == "moments":
-            payload, provenance = _run_moments(args)
+            payload = _run_moments(args)
         elif args.cmd == "asym":
-            payload, provenance = _run_asym(args)
+            payload = _run_asym(args)
         elif args.cmd == "verify":
             from . import verification
 
-            payload, provenance = verification.run_verify(args.max_N), "both"
-        else:  # pragma: no cover - argparse enforces the choices
-            parser.error(f"unknown command {args.cmd!r}")
+            payload = verification.run_verify(args.max_N)
     except DomainError as exc:
         return _fail(3, f"error: {exc}")
     except ValueError as exc:
         return _fail(2, f"usage error: {exc}")
-    env = _envelope(args, payload, provenance)
+    env = _envelope(args, payload)
     try:
         if args.cmd != "verify":
             _emit(env, args.format, out)

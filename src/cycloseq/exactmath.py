@@ -1,10 +1,10 @@
 """Arbitrary-precision integer kernel.
 
-Binomials and the row of binomial products C(m, h) C(n, h), falling
-factorials, Stirling numbers of the second kind, composition counts
-(ordered partitions, De Moivre numbers) and exact-part partition counts,
-the one checked exact division, the checked sequence family (m, n) and
-digit pattern, and the immutable Record the value types are built on.
+Binomials and the row of binomial products C(m, h) C(n, h), Stirling
+numbers of the second kind, composition counts (ordered partitions, De
+Moivre numbers) and exact-part partition counts, the one checked exact
+division, the checked sequence family (m, n) and digit pattern, and the
+immutable Record the value types are built on.
 Every function here is a pure function of its arguments and exact at any
 magnitude; Python ints carry the arithmetic, except where exact_decimal
 lends a row walk exact decimal cells that print in linear time.
@@ -83,16 +83,6 @@ def exact_decimal(N: int) -> Iterator:
     )
     with decimal.localcontext(context):
         yield decimal.Decimal(1)
-
-
-def falling_factorial(x: int, k: int) -> int:
-    """x(x-1)...(x-k+1), with the empty product equal to 1."""
-    if k < 0:
-        raise ValueError(f"falling_factorial needs k >= 0, got k={k}")
-    out = 1
-    for i in range(k):
-        out *= x - i
-    return out
 
 
 @lru_cache(maxsize=None)

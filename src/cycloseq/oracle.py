@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from collections import Counter
-from typing import Callable, Hashable, Iterable, Iterator
+from collections.abc import Callable, Hashable, Iterable, Iterator
 
 from .errors import CapExceeded, ConstantSequence, IncompleteEnumeration, UnsupportedPattern
 from .exactmath import SequenceFamily, parse_pattern

@@ -18,10 +18,10 @@ family, and walks the compositions for the deletion matrix once.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from functools import cache
 from itertools import chain, product
 from math import comb
-from typing import Callable, Iterable
 
 from . import analytics, coeffs, oracle, patterncounts, tnumbers
 from .reference_tables import (

@@ -4,7 +4,10 @@ Each one is a slower or more literal route to a count the package answers
 another way; none of them is called by the package.
 """
 
+import math
 from collections import Counter
+from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from cycloseq.coeffs import c_tableau
@@ -60,3 +63,44 @@ def count_101(m, n, ell):
     heights = range(max(ell, 1), min(m, n) + 1)
     total = sum(binomial(n, h) * c_tableau(m, h, h - ell) for h in heights)
     return exact_div((m + n) * total, n)
+
+
+@cache
+def stirling2_sum(r, l):
+    """S(r, l) by the explicit sum (1/l!) sum_j (-1)^j C(l, j) (l - j)^r, zero for l > r."""
+    terms = sum((-1) ** j * math.comb(l, j) * (l - j) ** r for j in range(l + 1))
+    return terms // math.factorial(l)
+
+
+def falling(x, k):
+    """The falling factorial x(x-1)...(x-k+1), the empty product 1."""
+    return math.prod(range(x - k + 1, x + 1))
+
+
+def moment_by_stirling(m, n, r):
+    """sum_h h^r C(m,h) C(n,h) by the exact identity sum_l S(r,l) (m)_l C(N-l, n-l).
+
+    h^r = sum_l S(r,l) (h)_l, and Vandermonde sums (h)_l C(m,h) C(n,h) over h
+    to (m)_l C(N-l, n-l); terms past min(m, n) vanish.
+    """
+    return sum(stirling2_sum(r, l) * falling(m, l) * math.comb(m + n - l, n - l)
+               for l in range(min(r, m, n) + 1))
+
+
+def moment_expansion(m, n, r):
+    """The Stirling expansion of the moment sum, each term from fresh powers and a falling factorial.
+
+    C(N, m) at r = 0 and (mn/N) C(N, m) at r = 1; beyond, the prefactor
+    C(N, m) m^2 n^2 / (2^(r-2) N (N-1)) times sum_{l=1}^{r-1} S(r-1, l) c_l,
+    with c_1 = 1 and c_l = (2mn/N)^(l-1) (N-2)_(l-2) / (N-1)^(l-2).
+    """
+    N = m + n
+    if r == 0:
+        return Fraction(math.comb(N, m))
+    if r == 1:
+        return Fraction(m * n * math.comb(N, m), N)
+    series = Fraction(stirling2_sum(r - 1, 1))
+    for l in range(2, r):
+        series += (stirling2_sum(r - 1, l) * Fraction(2 * m * n, N) ** (l - 1)
+                   * falling(N - 2, l - 2) / Fraction(N - 1) ** (l - 2))
+    return Fraction(math.comb(N, m) * m * m * n * n, 2 ** (r - 2) * N * (N - 1)) * series

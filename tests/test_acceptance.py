@@ -380,10 +380,10 @@ def test_ledger_flags_approximation_drift_below_print_precision(monkeypatch):
     assert _moved_cells("binomial-row-cells") == [4]
     monkeypatch.undo()
 
-    coefficient = analytics._expansion_coefficient
-    monkeypatch.setattr(analytics, "_expansion_coefficient",
-                        lambda m, n, l: coefficient(m, n, l) * (2 if l == 4 else 1))
-    # the l = 4 term enters the expansion from r = 5 on
+    stirling2 = analytics.stirling2
+    monkeypatch.setattr(analytics, "stirling2",
+                        lambda r, l: stirling2(r, l) * (2 if l == 4 else 1))
+    # doubling S(r - 1, 4) doubles the l = 4 term, which enters the expansion from r = 5 on
     assert _moved_cells("moment-approx-pairs") == [(10, 10, 5)]
 
 

@@ -18,6 +18,7 @@ from cycloseq.reference_tables import (
     ASYMPTOTIC_ROW_COMPUTED,
     BINOMIAL_ROW_COMPUTED,
 )
+from references import moment_by_stirling, moment_expansion
 
 
 def test_moment_examples():
@@ -64,6 +65,31 @@ def test_closed_forms_match_the_row_sum_at_scale():
         assert moment_sum(1500, 1450, r) == _low_order_closed_form(1500, 1450, r)
     m = 1500
     assert moment_sum(m, m, 3) * 4 * (2 * m - 1) == m**3 * (m + 1) * math.comb(2 * m, m)
+
+
+def test_moment_sum_equals_the_stirling_identity():
+    # every order on small families, the constant ones and (0, 0) among them
+    for m in range(9):
+        for n in range(9):
+            for r in range(12):
+                assert moment_sum(m, n, r) == moment_by_stirling(m, n, r), (m, n, r)
+
+
+@pytest.mark.parametrize("m, n, r", [(1500, 1600, 40), (5000, 5000, 20)])
+def test_moment_sum_equals_the_stirling_identity_at_scale(m, n, r):
+    assert moment_sum(m, n, r) == moment_by_stirling(m, n, r)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_moment_approx_equals_the_term_by_term_expansion(m):
+    for n in range(1, 13):
+        for r in range(31):
+            assert moment_approx(m, n, r) == moment_expansion(m, n, r), (n, r)
+
+
+@pytest.mark.parametrize("m, n, r", [(200, 250, 450), (1500, 1600, 40)])
+def test_moment_approx_equals_the_term_by_term_expansion_at_scale(m, n, r):
+    assert moment_approx(m, n, r) == moment_expansion(m, n, r)
 
 
 def test_approx_is_exact_at_low_order():

@@ -254,7 +254,9 @@ def test_no_assert_statements_in_the_package():
     ("cycloseq.cli", ["cycloseq.analytics", "cycloseq.oracle", "cycloseq.verification",
                       "cycloseq.reference_tables", "fractions", "decimal", "dataclasses",
                       "inspect", "csv", "typing"]),
-    ("cycloseq.oracle", ["cycloseq.patterncounts", "cycloseq.coeffs", "cycloseq.tnumbers"]),
+    ("cycloseq.oracle", ["cycloseq.patterncounts", "cycloseq.coeffs", "cycloseq.tnumbers",
+                         "typing"]),
+    ("cycloseq.verification", ["typing"]),
 ])
 def test_a_fresh_import_loads_only_what_the_module_calls(module, absent):
     # the CLI defers the layers few commands run; the oracle imports no closed form.

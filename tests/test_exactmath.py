@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cycloseq import exactmath
-from cycloseq.errors import DomainError, InexactDivision
+from cycloseq.errors import DegenerateFamily, DomainError, InexactDivision, UnsupportedPattern
 from cycloseq.exactmath import (
     Record,
     SequenceFamily,
@@ -16,12 +16,13 @@ from cycloseq.exactmath import (
     demoivre,
     exact_decimal,
     exact_div,
-    falling_factorial,
+    nondegenerate_family,
+    parse_pattern,
     partition_count,
     partitions_exact,
     stirling2,
 )
-from references import compositions
+from references import compositions, stirling2_sum
 
 small = st.integers(min_value=0, max_value=12)
 
@@ -60,11 +61,9 @@ def test_stirling2_examples():
 
 
 def test_stirling2_matches_the_explicit_sum_up_to_order_60():
-    # S(r, l) = (1/l!) sum_j (-1)^j C(l, j) (l - j)^r, zero for l > r
     for r in range(61):
         for l in range(r + 2):
-            terms = sum((-1) ** j * math.comb(l, j) * (l - j) ** r for j in range(l + 1))
-            assert stirling2(r, l) == terms // math.factorial(l), (r, l)
+            assert stirling2(r, l) == stirling2_sum(r, l), (r, l)
 
 
 @given(st.integers(min_value=1, max_value=15), st.integers(min_value=1, max_value=15))
@@ -137,12 +136,6 @@ def test_partition_column_deletion_recurrence(h, w):
     if w == h:
         expected += 1  # the all-ones partition deletes to nothing
     assert partition_count(h, w) == expected
-
-
-def test_falling_factorial():
-    assert falling_factorial(7, 3) == 7 * 6 * 5
-    assert falling_factorial(5, 0) == 1
-    assert falling_factorial(3, 5) == 0
 
 
 def test_family_invariants():
@@ -245,11 +238,12 @@ class _Pair(Record):
 
 
 @pytest.mark.parametrize("function, args, error", [
-    (falling_factorial, (5, -1), ValueError),
+    (parse_pattern, ("012",), UnsupportedPattern),
     (stirling2, (-1, 0), ValueError),
     (stirling2, (3, -1), ValueError),
     (_Pair, (1,), TypeError),
     (_Pair, (1, 2, 3), TypeError),
+    (nondegenerate_family, (0, 3), DegenerateFamily),
 ])
 def test_arguments_outside_the_domain_are_refused(function, args, error):
     with pytest.raises(error) as exc:

@@ -8,6 +8,7 @@ from cycloseq import oracle
 from cycloseq.errors import BeyondDoubleRange, DegenerateFamily, InvalidDisplacement
 from cycloseq.exactmath import binomial
 from cycloseq.physics import (
+    _weighted_sum,
     ising_partition_fixed,
     ising_partition_total,
     walk_weight_polynomial,
@@ -191,6 +192,9 @@ def test_totals_beyond_the_double_range():
     # the fixed sum still raises OverflowError; the closed total is a domain error
     with pytest.raises(OverflowError):
         ising_partition_fixed(2000, 1000, 1.0)
+    # each term fits a double, but the sum scaled back by the largest does not
+    with pytest.raises(OverflowError, match="weighted sum exceeds the double range"):
+        _weighted_sum({0: 1, 2: 1}, lambda tau: 709.5)
     with pytest.raises(BeyondDoubleRange, match="exceeds the double range"):
         ising_partition_total(5000, 1.0)
 
