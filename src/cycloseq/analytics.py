@@ -13,13 +13,13 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DegenerateFamily, InvalidTau, within_double_range
-from .exactmath import binomial, binomial_products, stirling2
+from .errors import InvalidTau, within_double_range
+from .exactmath import binomial, binomial_products, nondegenerate_family, stirling2
 
 
 def moment_sum(m: int, n: int, r: int) -> int:
     """sum_h h^r C(m,h) C(n,h) over h = 0..min(m,n), added along the walk, no row kept."""
-    if m < 0 or n < 0 or r < 0:
+    if r < 0:  # binomial_products checks m and n
         raise ValueError("arguments must be nonnegative")
     return sum(h**r * p for h, p in enumerate(binomial_products(m, n)))
 
@@ -33,9 +33,9 @@ def moment_approx(m: int, n: int, r: int) -> Fraction:
     r <= 1 and, when m = n, for r <= 3; beyond that it is the binomial-model
     estimate.
     """
-    if m < 1 or n < 1 or r < 0:
-        raise ValueError("need m, n >= 1 and r >= 0")
-    N = m + n
+    N = nondegenerate_family(m, n).N
+    if r < 0:
+        raise ValueError("arguments must be nonnegative")
     if r == 0:
         return Fraction(binomial(N, m))
     prefactor = (
@@ -52,9 +52,7 @@ def moment_approx(m: int, n: int, r: int) -> Fraction:
 
 def binomial_jump_pmf(m: int, n: int, tau: int) -> float:
     """Two-per-trial binomial estimate of the probability of exactly tau jumps."""
-    if m < 1 or n < 1:
-        raise DegenerateFamily("jump probabilities need both digits present")
-    N = m + n
+    N = nondegenerate_family(m, n).N
     if tau % 2 != 0 or tau < 0 or tau > N:
         raise InvalidTau(f"need even tau in 0..{N}, got {tau}")
     p = Fraction(2 * m * n, N * (N - 1))
@@ -86,13 +84,11 @@ def t_asymptotic(m: int, n: int, tau: float) -> float:
     mu solves 1/m + 1/n = 1/mu; the constant in the exponent is
     a = log 2 - 1/2 per step.
     """
-    if m < 1 or n < 1:
-        raise DegenerateFamily("asymptotic form needs both digits present")
+    N = nondegenerate_family(m, n).N
     if tau < 0:
         raise InvalidTau(f"jump count must be >= 0, got {tau}")
     if tau == 0:
         return 0.0  # even where the Gaussian factor alone leaves the double range
-    N = m + n
     mu = m * n / N
     a = math.log(2.0) - 0.5
     return within_double_range(
@@ -107,6 +103,4 @@ def allwords_jump_gaussian(N: int, tau: float) -> float:
     """Gaussian estimate of the all-words jump count 2 C(N, tau)."""
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
-    return (2 ** (N + 2) / math.sqrt(2 * math.pi * N)) * math.exp(
-        -((2 * tau - N) ** 2) / (2 * N)
-    )
+    return 2 * stirling_binomial(N, tau)

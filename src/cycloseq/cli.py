@@ -25,7 +25,7 @@ from collections.abc import Iterator, Sequence
 # analytics, oracle and verification load fractions, the enumerator and the
 # published tables, so only the runners that call them import them
 from . import coeffs, exactmath, patterncounts, physics, tnumbers
-from .errors import DegenerateFamily, DomainError
+from .errors import DomainError
 
 FORMAT_VERSION = "1"
 
@@ -153,8 +153,13 @@ def _emit_pretty(env: dict, out) -> None:
 
 
 def _emit(env: dict, fmt: str, out) -> None:
-    """Write env to out in the format fmt as it is encoded, a row one cell at a time."""
-    if fmt == "json":
+    """Write env to out in the format fmt as it is encoded, a row one cell at a time.
+
+    verify's report has no table, so its csv is its json.
+    """
+    if env["command"] == "verify" and fmt == "pretty":
+        out.write(_emit_pretty_verify(env))
+    elif fmt == "json" or env["command"] == "verify":
         _emit_json(env, out)
     elif fmt == "csv":
         _emit_csv(env, out)
@@ -312,8 +317,7 @@ def _run_moments(args):
 def _run_asym(args):
     from . import analytics
 
-    if args.m < 1 or args.n < 1:
-        raise DegenerateFamily("asymptotic form needs both digits present")
+    exactmath.nondegenerate_family(args.m, args.n)  # the ranges below can be empty
     if args.sweep:
         top = 2 * min(args.m, args.n) + 2
         pairs = []
@@ -389,12 +393,7 @@ def _run(parser: argparse.ArgumentParser, args) -> int:
         return _fail(2, f"usage error: {exc}")
     env = _envelope(args, payload)
     try:
-        if args.cmd != "verify":
-            _emit(env, args.format, out)
-        elif args.format == "pretty":
-            out.write(_emit_pretty_verify(env))
-        else:
-            _emit_json(env, out)
+        _emit(env, args.format, out)
         out.flush()
     except OSError as exc:  # a closed pipe or a full device
         _to_null(out)

@@ -1,8 +1,9 @@
 """Errors raised by the counting engine.
 
-Every DomainError maps to CLI exit code 3; usage errors are argparse's exit
-code 2.  InexactDivision and IncompleteEnumeration mark a defect in the
-engine itself, not in the query, so the CLI lets them end in a traceback.
+Every DomainError maps to CLI exit code 3; usage errors, argparse's and
+every ValueError, map to exit code 2.  InexactDivision and
+IncompleteEnumeration mark a defect in the engine itself, not in the query,
+so the CLI lets them end in a traceback.
 """
 
 import math

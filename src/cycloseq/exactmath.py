@@ -58,7 +58,7 @@ def binomial_products(m: int, n: int, one=1) -> Iterator:
     context must stay open until the last cell is drawn.
     """
     if m < 0 or n < 0:
-        raise ValueError(f"binomial_products needs m, n >= 0, got ({m}, {n})")
+        raise ValueError(f"need m, n >= 0, got ({m}, {n})")
     return accumulate(range(min(m, n)),
                       lambda cell, h: exact_div(cell * (m - h) * (n - h), (h + 1) ** 2),
                       initial=one)
@@ -215,7 +215,7 @@ def nondegenerate_family(m: int, n: int) -> SequenceFamily:
     """The family (m, n), refusing it when it holds a single constant sequence."""
     family = SequenceFamily(m, n)
     if family.is_degenerate:
-        raise DegenerateFamily(f"family ({m}, {n}) is constant; query the oracle instead")
+        raise DegenerateFamily(f"family ({m}, {n}) is constant: the closed forms need both digits")
     return family
 
 

@@ -25,8 +25,8 @@ from .exactmath import (
 class CountDistribution(Record):
     """Exact map from an integer index to a count, with declared index semantics.
 
-    Fields: family (a SequenceFamily), index_kind ("tau", "occurrences" or
-    "weight") and entries, the dict from index to count.
+    Fields: family (a SequenceFamily), index_kind ("tau" or "occurrences")
+    and entries, the dict from index to count.
     """
 
     __slots__ = ("family", "index_kind", "entries")
@@ -49,8 +49,6 @@ def t_number(m: int, n: int, tau: int) -> int:
     """Number of sequences with m zeros, n ones and exactly tau cyclic jumps."""
     nondegenerate_family(m, n)
     h = _check_tau(tau)
-    if h > min(m, n):
-        return 0
     return exact_div((m + n) * h * binomial(m, h) * binomial(n, h), m * n)
 
 

@@ -187,7 +187,7 @@ def test_allwords_gaussian():
 @pytest.mark.parametrize("function, args, error", [
     (moment_sum, (-1, 3, 2), ValueError),
     (moment_sum, (3, 3, -1), ValueError),
-    (moment_approx, (0, 3, 2), ValueError),
+    (moment_approx, (0, 3, 2), DegenerateFamily),
     (moment_approx, (3, 3, -1), ValueError),
     (binomial_jump_pmf, (0, 3, 2), DegenerateFamily),
     (binomial_jump_pmf, (3, 3, 3), InvalidTau),
@@ -198,6 +198,9 @@ def test_allwords_gaussian():
     (t_asymptotic, (3, 0, 2), DegenerateFamily),
     (t_asymptotic, (3, 3, -1), InvalidTau),
     (allwords_jump_gaussian, (0, 0), ValueError),
+    (moment_approx, (-1, 3, 2), ValueError),
+    (binomial_jump_pmf, (-1, 3, 2), ValueError),
+    (t_asymptotic, (-1, 3, 2), ValueError),
 ])
 def test_arguments_outside_the_domain_are_refused(function, args, error):
     with pytest.raises(error) as exc:

@@ -328,6 +328,8 @@ def test_the_exit_code_holds_when_the_reader_closes_stdout_and_stderr():
     (["verify", "--max-N", "3", "--format", "json"], True, 4),
     (["tnum", "--m", "-3", "--n", "3"], False, 2),
     (["tnum", "--m", "0", "--n", "3", "--tau", "2"], False, 3),
+    (["verify", "--max-N", "3", "--format", "csv"], True, 4),
+    (["verify", "--max-N", "3"], True, 4),
 ])
 def test_the_exit_code_holds_when_stderr_is_a_full_device(argv, stdout_full, code):
     # the error line cannot be printed, yet the exit code still says what went wrong
@@ -373,10 +375,19 @@ def test_asym_distribution_mode(capsys):
     assert env["payload"]["2"] == pytest.approx(8.6206, abs=1e-3)
 
 
-@pytest.mark.parametrize("mode", [[], ["--tau", "2"], ["--sweep"]])
-def test_asym_refuses_a_negative_digit_count_in_every_mode(capsys, mode):
-    code, out, err = run(capsys, "asym", "--m", "-1", "--n", "3", *mode)
-    assert (code, out, err) == (3, "", "error: asymptotic form needs both digits present\n")
+@pytest.mark.parametrize("query", [
+    ["tnum", "--tau", "2"], ["dist", "--pattern", "00"], ["moments", "--r", "2", "--approx"],
+    ["asym"], ["asym", "--tau", "2"], ["asym", "--sweep"],
+], ids=["tnum-tau", "dist", "moments-approx", "asym", "asym-tau", "asym-sweep"])
+def test_every_closed_form_refuses_a_family_by_one_rule(capsys, query):
+    # a constant family is a domain error, a negative digit count a usage error
+    cmd, *options = query
+    assert run(capsys, cmd, "--m", "0", "--n", "3", *options) == (
+        3, "", "error: family (0, 3) is constant: the closed forms need both digits\n")
+    for m in ("-1", "-5"):  # at m = -5 asym's ranges are empty
+        code, out, err = run(capsys, cmd, "--m", m, "--n", "3", *options)
+        assert (code, out) == (2, ""), err
+        assert err.startswith("usage error: need m, n >= 0") and err.endswith(f"got ({m}, 3)\n")
 
 
 @pytest.mark.parametrize("m, tau, expected", [(1900, 3900, 2.8006e226), (2000, 10000, 0.0)])
@@ -733,6 +744,25 @@ def test_verify_small(capsys, monkeypatch):
         assert run(capsys, "verify", "--max-N", max_n) == (
             3, "", "error: N = 21 exceeds the oracle cap 20\n")
     assert swept == []
+
+
+def test_verify_writes_its_report_in_every_format(capsys):
+    # the report has no table: csv writes the json bytes, pretty one line per check and item
+    code, json_out, _ = run(capsys, "verify", "--max-N", "5", "--format", "json")
+    assert code == 0
+    assert run(capsys, "verify", "--max-N", "5", "--format", "csv") == (0, json_out, "")
+    report = json.loads(json_out)["payload"]
+    code, out, err = run(capsys, "verify", "--max-N", "5")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "# verify max_N=5"
+    assert lines[1:1 + len(report["checks"])] == [
+        f"check: {check['name']}: {check['cases']} cases: ok" for check in report["checks"]]
+    assert lines[1 + len(report["checks"])] == "typo ledger:"
+    assert lines[2 + len(report["checks"])::3][:len(report["typo_ledger"])] == [
+        f"  {item['id']}: {item['verdict']}" for item in report["typo_ledger"]]
+    assert lines[-1] == "all closed forms equivalent to enumeration: True"
+    assert len(lines) == 3 + len(report["checks"]) + 3 * len(report["typo_ledger"])
 
 
 @pytest.mark.parametrize("cap, max_n, first", [
