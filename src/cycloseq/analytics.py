@@ -8,8 +8,6 @@ where the formula is rational; doubles appear only in the inherently
 transcendental expressions.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 

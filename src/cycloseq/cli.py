@@ -14,8 +14,6 @@ mid-row (InexactDivision, a trapped decimal rounding) ends in a traceback,
 exit 1, after a partial envelope.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import os
@@ -303,6 +301,7 @@ def _run_appendix(args):
 def _run_moments(args):
     from . import analytics
 
+    exactmath.SequenceFamily(args.m, args.n)  # moment_sum alone would answer (0, 0)
     exact = analytics.moment_sum(args.m, args.n, args.r)
     if not args.approx:
         return str(exact)
@@ -338,10 +337,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # exact counts outgrow the interpreter's int-to-str digit limit (4300 by
-    # default, where it has one) long before they are costly to compute
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is None:
-        return _run(parser, args)
+    # default) long before they are costly to compute
+    limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
         return _run(parser, args)

@@ -22,8 +22,6 @@ remainders, and everything that feeds sequence counting uses it; `c_coeff` is
 `c_tableau` with the matrix-convention corner.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from functools import lru_cache
 from itertools import accumulate
@@ -54,15 +52,11 @@ def c_coeff(i: int, j: int, k: int) -> int:
     return i if i == j and k == 0 else c_tableau(i, j, k)
 
 
-@lru_cache(maxsize=None)
-def _short_part_rows(c: int, top: int) -> list[list[int]]:
-    """Rows q = 0, 1, ... of R_c, as far as c_weight_tableau has built them.
-
-    Row q holds R_c(q, v) at offset v - q, for v = q..min(c q, top) where it
-    can be nonzero.  It is a windowed prefix sum of row q-1: R_c(q, v) is the
-    sum of R_c(q-1, u) over v-c <= u < v.
-    """
-    return [[1]]
+# Rows q = 0, 1, ... of R_c for each (c, top), as far as c_weight_tableau has
+# built them.  Row q holds R_c(q, v) at offset v - q, for v = q..min(c q, top)
+# where it can be nonzero.  It is a windowed prefix sum of row q-1: R_c(q, v)
+# is the sum of R_c(q-1, u) over v-c <= u < v.
+_SHORT_PART_ROWS: dict[tuple[int, int], list[list[int]]] = {}
 
 
 def c_general(s: int, i: int, j: int, k: int) -> int:
@@ -98,7 +92,7 @@ def c_weight_tableau(s: int, m: int, g: int, h: int) -> int:
     if not h <= m - g <= (s + 1) * h:
         return 0
     c, ks = s + 1, range(min(g, 1), min(h, g, (m - g - h) // s) + 1)
-    rows = _short_part_rows(c, m)
+    rows = _SHORT_PART_ROWS.setdefault((c, m), [[1]])
     while ks and len(rows) <= h - ks.start:
         prefix = [0, *accumulate(rows[-1] + [0] * c)]
         width = min(c * len(rows), m) - len(rows) + 1

@@ -10,8 +10,6 @@ magnitude; Python ints carry the arithmetic, except where exact_decimal
 lends a row walk exact decimal cells that print in linear time.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Iterator
 from contextlib import contextmanager

@@ -14,8 +14,6 @@ window profiles.  The default size cap N <= 20 keeps words within a machine
 word and runtimes bounded; CYCLOSEQ_ORACLE_CAP overrides it.
 """
 
-from __future__ import annotations
-
 import os
 from collections import Counter
 from collections.abc import Callable, Hashable, Iterable, Iterator

@@ -21,8 +21,6 @@ the whole row at once (`_marked_parts`).  The joint tables (`_joint`) split
 the counts by the number h of blocks of ones instead.
 """
 
-from __future__ import annotations
-
 from itertools import takewhile
 
 from .errors import UnsupportedPattern

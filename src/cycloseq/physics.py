@@ -8,8 +8,6 @@ what a one-step memory weights.  Both weighted sums are one sum of
 count * x^tau * y^(N - tau), taken in the log domain from the exact counts.
 """
 
-from __future__ import annotations
-
 import math
 
 from .errors import DegenerateFamily, InvalidDisplacement, within_double_range

@@ -10,8 +10,6 @@ the enumeration oracle for counts, exact rational or high-precision
 evaluation for approximations.  The `verify` command audits the full catalog.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import comb
 

@@ -8,8 +8,6 @@ at a time along the row of binomial products, with the all-words row sums
 and the census of sequences by block-structure type.
 """
 
-from __future__ import annotations
-
 import math
 from collections import Counter
 from collections.abc import Iterator

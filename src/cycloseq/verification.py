@@ -16,8 +16,6 @@ tally of it read those classes, builds each pattern's distribution once per
 family, and walks the compositions for the deletion matrix once.
 """
 
-from __future__ import annotations
-
 from collections.abc import Callable, Iterable
 from functools import cache
 from itertools import chain, product
