@@ -64,18 +64,6 @@ def stirling_binomial(m: int, h: int) -> float:
     return 2 ** (m + 1) * math.exp(-((2 * h - m) ** 2) / (2 * m)) / math.sqrt(2 * math.pi * m)
 
 
-def wallis_pi(N: int) -> float:
-    """The even-product approximation of pi hidden in the central binomial.
-
-    Decreases to pi as N grows; consecutive terms obey
-    value(N + 2) = value(N) * N (N + 2) / (N + 1)^2.
-    """
-    if N < 2 or N % 2 != 0:
-        raise ValueError(f"need even N >= 2, got {N}")
-    # square first and stay rational, so large N cannot overflow the floats
-    return float(Fraction(4 ** (N + 1), 2 * N * binomial(N, N // 2) ** 2))
-
-
 def t_asymptotic(m: int, n: int, tau: float) -> float:
     """Asymptotic jump count via the Gaussian shape with harmonic-mean width.
 
@@ -95,10 +83,3 @@ def t_asymptotic(m: int, n: int, tau: float) -> float:
         / (math.pi * mu**1.5 * math.sqrt(N)),
         f"the asymptotic jump count at ({m}, {n}, {tau})",
     )
-
-
-def allwords_jump_gaussian(N: int, tau: float) -> float:
-    """Gaussian estimate of the all-words jump count 2 C(N, tau)."""
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
-    return 2 * stirling_binomial(N, tau)

@@ -163,16 +163,13 @@ def _joint(m: int, n: int, patterns: tuple[str, ...], cells) -> JointDistributio
 
 
 def joint_01_001(m: int, n: int) -> JointDistribution:
-    """Joint counts of (01)-occurrences h and (001)-occurrences ell."""
+    """Joint counts of (01)-occurrences h and (001)-occurrences ell.
+
+    Each of the h zero blocks holds one 101 when it is a single zero and one
+    001 otherwise, so the (01, 101) table is this one read at (h, h - ell).
+    """
     return _joint(m, n, ("01", "001"), lambda h: (
         ((ell,), c_tableau(m, h, ell)) for ell in range(h + 1)
-    ))
-
-
-def joint_01_101(m: int, n: int) -> JointDistribution:
-    """Joint counts of (01)-occurrences h and (101)-occurrences ell."""
-    return _joint(m, n, ("01", "101"), lambda h: (
-        ((ell,), c_tableau(m, h, h - ell)) for ell in range(h + 1)
     ))
 
 
@@ -201,32 +198,15 @@ def kaplansky(N: int, n: int, p: int) -> int:
     return exact_div(N * binomial(reduced, n), reduced)
 
 
-def _all_words(N: int, pattern: str, h: int) -> int:
-    """Words among all 2^N on the N-cycle with h occurrences of a solved pattern.
-
-    The families of length N hold all but the two constant words, each of
-    which holds N occurrences of a run of its own digit.
-    """
-    count = _solved_count(pattern)
-    total = [N if pattern == digit * len(pattern) else 0 for digit in "01"].count(h)
-    return total + sum(cell(h) for cell, top in (count(m, N - m) for m in range(1, N)) if h <= top)
-
-
 def fibonacci_gf(N: int, r: int, h: int) -> int:
     """Nonempty subsets of an N-cycle containing exactly h runs of r consecutive points.
 
-    The full subset contributes its N wraparound runs; the empty subset is
-    not counted.
+    A subset is a word with its points as ones.  The families of length N
+    hold every subset but the empty one, which is not counted, and the full
+    one, which contributes its N wraparound runs.
     """
     if N < 1 or r < 2 or h < 0:
         raise ValueError(f"need N >= 1, r >= 2, h >= 0, got ({N}, {r}, {h})")
-    return _all_words(N, "1" * r, h) - (h == 0)
-
-
-def all_sequences_001(N: int, ell: int) -> int:
-    """Occurrences of (001) counted over all 2^N cyclic words of length N."""
-    if N < 3:
-        raise ValueError(f"need N >= 3, got {N}")
-    if ell < 0:
-        return 0
-    return _all_words(N, "001", ell)
+    count = _solved_count("1" * r)
+    rows = (count(m, N - m) for m in range(1, N))
+    return (h == N) + sum(cell(h) for cell, top in rows if h <= top)

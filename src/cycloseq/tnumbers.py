@@ -4,8 +4,8 @@ A sequence of m zeros and n ones, read cyclically, has an even number tau
 of boundaries between unequal adjacent digits.  The count of sequences with
 a given tau has the closed form (tau/2) * (1/m + 1/n) * C(m, tau/2) * C(n, tau/2);
 this module evaluates it exactly, one point or a whole row walked one cell
-at a time along the row of binomial products, with the all-words row sums
-and the census of sequences by block-structure type.
+at a time along the row of binomial products, with the census of sequences
+by block-structure type.
 """
 
 import math
@@ -67,18 +67,6 @@ def jump_row(m: int, n: int, one=1) -> Iterator[tuple]:
 def t_distribution(m: int, n: int) -> CountDistribution:
     """Full jump distribution of the family, the int cells of jump_row kept as a dict."""
     return CountDistribution(SequenceFamily(m, n), "tau", dict(jump_row(m, n)))
-
-
-def t_sum_over_n(N: int, tau: int) -> int:
-    """Sequences with tau jumps among all 2^N words: 2 * C(N, tau).
-
-    tau = 0 is allowed and counts the two constant words.
-    """
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
-    if tau < 0 or tau % 2 != 0:
-        raise InvalidTau(f"jump count must be even and >= 0, got {tau}")
-    return 2 * binomial(N, tau)
 
 
 def _type_multiplicity(N: int, zeros: tuple[int, ...], ones: tuple[int, ...]) -> int:

@@ -4,13 +4,11 @@ from fractions import Fraction
 import pytest
 
 from cycloseq.analytics import (
-    allwords_jump_gaussian,
     binomial_jump_pmf,
     moment_approx,
     moment_sum,
     stirling_binomial,
     t_asymptotic,
-    wallis_pi,
 )
 from cycloseq.errors import DegenerateFamily, InvalidTau
 from cycloseq.exactmath import binomial
@@ -163,27 +161,6 @@ def test_stirling_binomial():
     )
 
 
-def test_wallis_sequence():
-    assert wallis_pi(2) == pytest.approx(4.0)
-    for N in range(2, 200, 2):
-        assert wallis_pi(N + 2) == pytest.approx(
-            wallis_pi(N) * N * (N + 2) / (N + 1) ** 2, rel=1e-12
-        )
-        assert wallis_pi(N) > math.pi
-    assert wallis_pi(2000) - math.pi < 1e-3
-
-
-def test_allwords_gaussian():
-    value = allwords_jump_gaussian(8, 4)
-    assert abs(value / (2 * binomial(8, 4)) - 1) < 0.05
-    for tau in range(0, 21, 2):
-        assert allwords_jump_gaussian(20, tau) == pytest.approx(
-            allwords_jump_gaussian(20, 20 - tau), rel=1e-12
-        )
-    total = sum(allwords_jump_gaussian(20, tau) for tau in range(0, 21, 2))
-    assert abs(total / 2**20 - 1) < 0.02
-
-
 @pytest.mark.parametrize("function, args, error", [
     (moment_sum, (-1, 3, 2), ValueError),
     (moment_sum, (3, 3, -1), ValueError),
@@ -193,11 +170,11 @@ def test_allwords_gaussian():
     (binomial_jump_pmf, (3, 3, 3), InvalidTau),
     (binomial_jump_pmf, (3, 3, 8), InvalidTau),
     (stirling_binomial, (0, 0), ValueError),
-    (wallis_pi, (0,), ValueError),
-    (wallis_pi, (5,), ValueError),
+    (binomial_jump_pmf, (3, 3, -2), InvalidTau),
+    (moment_sum, (3, -1, 2), ValueError),
     (t_asymptotic, (3, 0, 2), DegenerateFamily),
     (t_asymptotic, (3, 3, -1), InvalidTau),
-    (allwords_jump_gaussian, (0, 0), ValueError),
+    (t_asymptotic, (3, -1, 2), ValueError),
     (moment_approx, (-1, 3, 2), ValueError),
     (binomial_jump_pmf, (-1, 3, 2), ValueError),
     (t_asymptotic, (-1, 3, 2), ValueError),

@@ -9,13 +9,12 @@ from cycloseq.coeffs import c_general, c_weight_tableau
 from cycloseq.errors import DegenerateFamily, UnsupportedPattern
 from cycloseq.exactmath import binomial, exact_div
 from cycloseq.patterncounts import (
-    all_sequences_001,
+    JointDistribution,
     count_pattern,
     fibonacci_gf,
     flip,
     is_solved_pattern,
     joint_01_001,
-    joint_01_101,
     kaplansky,
     pattern_distribution,
     triple_01_001_0001,
@@ -175,6 +174,24 @@ SOLVED_UP_TO_10 = sorted(p for L in range(1, 11) for p in _solved_at_length(L))
 DEEP_ZEROS_THEN_ONE = ["0" * 100 + "1", "1" + "0" * 100, "1" * 100 + "0", "0" + "1" * 100]
 
 
+def _words_with_the_pattern_at_0_and_d(m, n, pattern):
+    """Sum over d = 1..N-1 of the family's words that spell the pattern at 0 and at d.
+
+    The two windows fix the digits of their union S, so C(N - |S|, n - ones(S))
+    words hold both when they agree where they overlap, and none otherwise.
+    For L <= d <= N - L the windows are disjoint.
+    """
+    N, L, w = m + n, len(pattern), pattern.count("1")
+    total = max(N - 2 * L + 1, 0) * binomial(max(N - 2 * L, 0), n - 2 * w)
+    for d in range(1, N):
+        if L <= d <= N - L:
+            continue
+        fixed = dict(enumerate(pattern))
+        if all(fixed.setdefault((d + i) % N, digit) == digit for i, digit in enumerate(pattern)):
+            total += binomial(N - len(fixed), n - "".join(fixed.values()).count("1"))
+    return total
+
+
 @pytest.mark.parametrize("m, n, patterns", [
     (60, 60, SOLVED_UP_TO_10), (37, 83, SOLVED_UP_TO_10),
     (300, 300, SOLVED_UP_TO_10 + DEEP_ZEROS_THEN_ONE),
@@ -183,13 +200,16 @@ def test_closed_forms_meet_exact_identities_far_beyond_the_oracle_cap(m, n, patt
     # an independent exact check where enumeration cannot reach: the counts
     # sum to the family size C(N, n), and the occurrences sum to N C(N-L, n-w),
     # since each of the N windows spells a pattern with w ones in C(N-L, n-w)
-    # sequences
+    # sequences; the ordered pairs of occurrences sum to N times the words
+    # with the pattern at 0 and at d, over the shifts d (Guibas & Odlyzko 1981)
     N = m + n
     for pattern in patterns:
         entries = pattern_distribution(m, n, pattern).entries
         L, w = len(pattern), pattern.count("1")
         assert sum(entries.values()) == binomial(N, n), pattern
         assert sum(h * v for h, v in entries.items()) == N * binomial(N - L, n - w), pattern
+        pairs = sum(h * (h - 1) * v for h, v in entries.items())
+        assert pairs == N * _words_with_the_pattern_at_0_and_d(m, n, pattern), pattern
 
 
 @functools.lru_cache(maxsize=None)
@@ -271,16 +291,12 @@ def test_degenerate_family_rejected():
     with pytest.raises(DegenerateFamily):
         joint_01_001(0, 4)
     with pytest.raises(DegenerateFamily):
-        joint_01_101(5, 0)
-    with pytest.raises(DegenerateFamily):
         triple_01_001_0001(0, 4)
 
 
 def test_input_validation():
     with pytest.raises(ValueError):
         fibonacci_gf(4, 1, 0)
-    with pytest.raises(ValueError):
-        all_sequences_001(2, 0)
     with pytest.raises(ValueError):
         kaplansky(5, 2, 0)
     with pytest.raises(ValueError):
@@ -326,9 +342,6 @@ def test_joints_match_oracle(m, n):
     assert joint_01_001(m, n).entries == {
         k: v for k, v in oracle.joint_distribution(m, n, ["01", "001"]).items() if v
     }
-    assert joint_01_101(m, n).entries == {
-        k: v for k, v in oracle.joint_distribution(m, n, ["01", "101"]).items() if v
-    }
     assert triple_01_001_0001(m, n).entries == {
         k: v
         for k, v in oracle.joint_distribution(m, n, ["01", "001", "0001"]).items()
@@ -336,14 +349,29 @@ def test_joints_match_oracle(m, n):
     }
 
 
+def _joint_01_101(m, n):
+    """The (01, 101) table as the (01, 001) table read at (h, h - ell)."""
+    joint = joint_01_001(m, n)
+    return JointDistribution(joint.family, ("01", "101"),
+                             {(h, h - ell): v for (h, ell), v in joint.entries.items()})
+
+
+@pytest.mark.parametrize("N", range(3, 13))
+def test_the_01_101_table_is_the_01_001_table_read_at_h_minus_ell(N):
+    # a zero block holds one 101 when it is a single zero and one 001 otherwise
+    for m in range(1, N):
+        brute = oracle.joint_distribution(m, N - m, ["01", "101"])
+        assert _joint_01_101(m, N - m).entries == {k: v for k, v in brute.items() if v}, m
+
+
 def test_joint_101_marginals():
-    marg = joint_01_101(5, 3).marginal(1)
+    marg = _joint_01_101(5, 3).marginal(1)
     assert marg == {0: 24, 1: 24, 2: 8}
     # digit-swap image: the same distribution answers (010) on the flipped family
     dist = pattern_distribution(3, 5, "010")
     assert {h: v for h, v in dist.entries.items() if v} == marg
     # the other axis recovers the jump-pair distribution
-    assert joint_01_101(5, 3).marginal(0) == {
+    assert _joint_01_101(5, 3).marginal(0) == {
         h: t_number(5, 3, 2 * h) for h in (1, 2, 3)
     }
 
@@ -430,22 +458,24 @@ def test_fibonacci_completeness():
             assert sum(fibonacci_gf(N, r, h) for h in range(N + 1)) == 2**N - 1
 
 
+def _all_words_001(N):
+    """Occurrences of 001 over all 2^N words: the family rows, plus the two constant words."""
+    totals = Counter({0: 2})
+    for m in range(1, N):
+        totals.update(pattern_distribution(m, N - m, "001").entries)
+    return {ell: v for ell, v in totals.items() if v}
+
+
 def test_all_sequences_001():
-    assert all_sequences_001(8, -1) == 0
-    assert all_sequences_001(8, 0) == 48
-    assert all_sequences_001(8, 1) == 160
-    assert all_sequences_001(8, 2) == 48
-    for N in range(3, 13):
-        assert sum(all_sequences_001(N, l) for l in range(N + 1)) == 2**N
-        for l in range(N // 3 + 1, N + 1):
-            assert all_sequences_001(N, l) == 0
+    assert _all_words_001(8) == {0: 48, 1: 160, 2: 48}
+    for N in range(4, 13):
         brute = oracle.tally(((word, 1) for word in range(1 << N)),
                              lambda word: cyclic_occurrences(word, N, "001"))
-        for l in range(N + 1):
-            assert all_sequences_001(N, l) == brute.get(l, 0)
+        assert _all_words_001(N) == brute, N
+        assert max(brute) == N // 3
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (4, 4), (5, 3), (3, 6)])
 def test_a_joint_table_totals_its_family(m, n):
-    for joint in (joint_01_001(m, n), joint_01_101(m, n), triple_01_001_0001(m, n)):
+    for joint in (joint_01_001(m, n), triple_01_001_0001(m, n)):
         assert joint.total == binomial(m + n, n), joint.patterns

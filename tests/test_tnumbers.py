@@ -8,7 +8,6 @@ from cycloseq.tnumbers import (
     jump_row,
     t_distribution,
     t_number,
-    t_sum_over_n,
     type_census,
 )
 
@@ -86,8 +85,6 @@ def test_degenerate_family():
 def test_odd_tau_rejected():
     with pytest.raises(InvalidTau):
         t_number(3, 4, 3)
-    with pytest.raises(InvalidTau):
-        t_sum_over_n(9, 5)
 
 
 def test_recurrence_route():
@@ -123,18 +120,15 @@ def test_normalization_and_first_moment(N):
 
 @pytest.mark.parametrize("N", range(1, 15))
 def test_all_words_row_sums(N):
-    for tau in range(0, N + 1, 2):
-        expected = 2 * binomial(N, tau)
-        assert t_sum_over_n(N, tau) == expected
-        if tau >= 2:
-            total = sum(t_number(m, N - m, tau) for m in range(1, N))
-            assert total == expected
+    # the two constant words make up tau = 0; every other tau is a sum over families
+    for tau in range(2, N + 1, 2):
+        assert sum(t_number(m, N - m, tau) for m in range(1, N)) == 2 * binomial(N, tau)
 
 
 def test_sum_examples():
-    assert t_sum_over_n(7, 4) == 70
-    assert t_sum_over_n(10, 10) == 2
-    assert t_sum_over_n(9, 4) == 252
+    # the all-words jump totals 2 C(N, tau), summed over the families of length N
+    for N, tau, expected in ((7, 4, 70), (10, 10, 2), (9, 4, 252)):
+        assert sum(t_number(m, N - m, tau) for m in range(1, N)) == expected
 
 
 @pytest.mark.parametrize("N", range(2, 13))
@@ -176,14 +170,3 @@ def test_type_census_against_oracle(N):
         census = type_census(m, N - m)
         assert sorted(census, key=lambda row: (len(row[0][0]), row[0])) == census
         assert dict(census) == oracle.type_census(m, N - m)
-
-
-@pytest.mark.parametrize("args, error", [
-    ((0, 0), ValueError),
-    ((-2, 2), ValueError),
-    ((4, -2), InvalidTau),
-])
-def test_t_sum_over_n_refuses_what_has_no_words(args, error):
-    with pytest.raises(error) as exc:
-        t_sum_over_n(*args)
-    assert exc.type is error
