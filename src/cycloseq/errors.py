@@ -26,7 +26,7 @@ class UnsupportedPattern(DomainError):
 
 
 class CapExceeded(DomainError):
-    """Brute-force enumeration request above the configured size cap."""
+    """Brute-force enumeration request above the size cap."""
 
 
 class ConstantSequence(DomainError):

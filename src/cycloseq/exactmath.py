@@ -3,8 +3,8 @@
 Binomials and the row of binomial products C(m, h) C(n, h), Stirling
 numbers of the second kind, composition counts (ordered partitions, De
 Moivre numbers) and exact-part partition counts, the one checked exact
-division, the checked sequence family (m, n) and digit pattern, and the
-immutable Record the value types are built on.
+division, the checked sequence family (m, n), digit pattern and pattern
+query, and the immutable Record the value types are built on.
 Every function here is a pure function of its arguments and exact at any
 magnitude; Python ints carry the arithmetic, except where exact_decimal
 lends a row walk exact decimal cells that print in linear time.
@@ -222,3 +222,12 @@ def parse_pattern(pattern: str) -> str:
     if not pattern or any(ch not in "01" for ch in pattern):
         raise UnsupportedPattern(f"pattern must be a nonempty string over 0/1, got {pattern!r}")
     return pattern
+
+
+def pattern_family(m: int, n: int, pattern: str) -> SequenceFamily:
+    """The family of a pattern query, checked in order: digits, family, length at most N."""
+    parse_pattern(pattern)
+    family = SequenceFamily(m, n)
+    if len(pattern) > family.N:
+        raise UnsupportedPattern(f"pattern length {len(pattern)} exceeds the cycle length {family.N}")
+    return family

@@ -10,33 +10,22 @@ distribution enumerates its family afresh unless it is given the family's
 classes from an earlier sweep, so a caller that tallies one family several
 times enumerates it once.  Cyclic windows are extracted by doubling the word
 and masking.  `pattern_census` reads the requested patterns off one sweep of
-window profiles.  The default size cap N <= 20 keeps words within a machine
-word and runtimes bounded; CYCLOSEQ_ORACLE_CAP overrides it.
+window profiles.  The cap N <= CAP bounds the word width and the runtime.
 """
 
-import os
 from collections import Counter
 from collections.abc import Callable, Hashable, Iterable, Iterator
 
-from .errors import CapExceeded, ConstantSequence, IncompleteEnumeration, UnsupportedPattern
-from .exactmath import SequenceFamily, parse_pattern
+from .errors import CapExceeded, ConstantSequence, IncompleteEnumeration
+from .exactmath import SequenceFamily, pattern_family
 
-DEFAULT_CAP = 20
-
-
-def oracle_cap() -> int:
-    raw = os.environ.get("CYCLOSEQ_ORACLE_CAP", str(DEFAULT_CAP))
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"CYCLOSEQ_ORACLE_CAP must be an integer, got {raw!r}") from None
+CAP = 20
 
 
 def check_cap(N: int) -> None:
     """Refuse a family of length N above the oracle cap (CapExceeded) or below 1."""
-    cap = oracle_cap()
-    if N > cap:
-        raise CapExceeded(f"N = {N} exceeds the oracle cap {cap}")
+    if N > CAP:
+        raise CapExceeded(f"N = {N} exceeds the oracle cap {CAP}")
     if N < 1:
         raise ValueError(f"need N >= 1, got {N}")
 
@@ -72,11 +61,10 @@ def rotation_classes(m: int, n: int) -> Iterator[tuple[int, int]]:
             f"rotation classes of ({m}, {n}) cover {covered} words, not {family.size()}")
 
 
-def _occurrence_counter(N: int, pattern: str) -> Callable[[int], int]:
+def _occurrence_counter(m: int, n: int, pattern: str) -> Callable[[int], int]:
     """word -> its cyclic windows that spell the pattern, which may be N long."""
-    pattern = parse_pattern(pattern)
-    if len(pattern) > N:
-        raise UnsupportedPattern(f"pattern length {len(pattern)} exceeds the cycle length {N}")
+    check_cap(m + n)  # an over-cap family is refused before its pattern is read
+    N = pattern_family(m, n, pattern).N
     ones = [j for j, ch in enumerate(pattern) if ch == "1"]
     zeros = [j for j, ch in enumerate(pattern) if ch == "0"]
 
@@ -140,14 +128,12 @@ def jump_distribution(m: int, n: int, classes: Classes | None = None) -> dict[in
 
 def pattern_distribution(m: int, n: int, pattern: str,
                          classes: Classes | None = None) -> dict[int, int]:
-    check_cap(m + n)  # an over-cap family is refused before its pattern is read
-    return tally(_swept(m, n, classes), _occurrence_counter(m + n, pattern))
+    return tally(_swept(m, n, classes), _occurrence_counter(m, n, pattern))
 
 
 def joint_distribution(m: int, n: int, patterns: Iterable[str],
                        classes: Classes | None = None) -> dict[tuple[int, ...], int]:
-    check_cap(m + n)
-    counters = [_occurrence_counter(m + n, p) for p in patterns]
+    counters = [_occurrence_counter(m, n, p) for p in patterns]
     return tally(_swept(m, n, classes), lambda word: tuple(count(word) for count in counters))
 
 
@@ -161,11 +147,10 @@ def pattern_census(m: int, n: int, patterns: Iterable[str],
     """
     N = m + n
     check_cap(N)
-    patterns = [parse_pattern(p) for p in patterns]
-    width = max(map(len, patterns), default=0)
-    if width > N:
-        raise UnsupportedPattern(f"pattern length {width} exceeds the cycle length {N}")
-    mask = (1 << width) - 1
+    patterns = list(patterns)
+    for pattern in patterns:
+        pattern_family(m, n, pattern)
+    mask = (1 << max(map(len, patterns), default=0)) - 1
 
     def profile(word: int) -> tuple[int, ...]:
         doubled = word | (word << N)

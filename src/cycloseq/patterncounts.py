@@ -26,6 +26,7 @@ from itertools import takewhile
 from .errors import UnsupportedPattern
 from .exactmath import (
     Record, SequenceFamily, binomial, demoivre, exact_div, nondegenerate_family, parse_pattern,
+    pattern_family,
 )
 from .coeffs import c_tableau, c_weight_tableau
 from .tnumbers import CountDistribution
@@ -109,15 +110,9 @@ def is_solved_pattern(pattern: str) -> bool:
 
 
 def _resolved(m: int, n: int, pattern: str):
-    """(count, top) of a solved pattern on the family; a 0^r 1 or 101 row is built here.
-
-    The query is checked in order: digits, family, length below N, closed form.
-    """
-    pattern = parse_pattern(pattern)
-    N = nondegenerate_family(m, n).N
-    if len(pattern) >= N:
-        raise UnsupportedPattern(
-            f"pattern length {len(pattern)} must be below the sequence length {N}")
+    """(count, top) of the pattern; checks digits, family, length <= N, both digits, closed form."""
+    pattern_family(m, n, pattern)
+    nondegenerate_family(m, n)
     solved = _solved_count(pattern)
     if solved is None:
         raise UnsupportedPattern(f"no closed form for pattern {pattern!r}; use the oracle for it")
@@ -127,7 +122,8 @@ def _resolved(m: int, n: int, pattern: str):
 def count_pattern(m: int, n: int, pattern: str, h: int) -> int:
     """Exact number of sequences of the family with h cyclic occurrences of the pattern.
 
-    Only the one cell is evaluated; an h outside 0..top counts nothing.
+    A run evaluates only the one cell; 0^r 1 and 101 build their whole row
+    first.  An h outside 0..top counts nothing.
     """
     count, top = _resolved(m, n, pattern)
     return count(h) if 0 <= h <= top else 0

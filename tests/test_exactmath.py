@@ -20,6 +20,7 @@ from cycloseq.exactmath import (
     parse_pattern,
     partition_count,
     partitions_exact,
+    pattern_family,
     stirling2,
 )
 from references import compositions, stirling2_sum
@@ -244,6 +245,10 @@ class _Pair(Record):
     (_Pair, (1,), TypeError),
     (_Pair, (1, 2, 3), TypeError),
     (nondegenerate_family, (0, 3), DegenerateFamily),
+    # a pattern query is checked for its digits, then its family, then its length
+    (pattern_family, (-1, -1, "x"), UnsupportedPattern),
+    (pattern_family, (-1, 3, "0110"), ValueError),
+    (pattern_family, (2, 1, "0001"), UnsupportedPattern),
 ])
 def test_arguments_outside_the_domain_are_refused(function, args, error):
     with pytest.raises(error) as exc:

@@ -100,7 +100,7 @@ def _occurrences(word, N, pattern):
 
 def test_cyclic_window_counting(monkeypatch):
     # the 24-digit reference sequence; (1100) occurs three times cyclically
-    monkeypatch.setenv("CYCLOSEQ_ORACLE_CAP", "24")
+    monkeypatch.setattr(oracle, "CAP", 24)
     bits = "000001110011010001100111"
     w = _word(bits)
     assert _occurrences(w, 24, "1100") == cyclic_occurrences(w, 24, "1100") == 3
@@ -200,17 +200,14 @@ def test_allwords_distributions():
 
 
 def test_cap(monkeypatch):
-    monkeypatch.setenv("CYCLOSEQ_ORACLE_CAP", "6")
-    assert oracle.oracle_cap() == 6
+    assert oracle.CAP == 20
+    monkeypatch.setattr(oracle, "CAP", 6)
     with pytest.raises(CapExceeded):
         list(oracle.rotation_classes(4, 4))
-    monkeypatch.delenv("CYCLOSEQ_ORACLE_CAP")
-    assert oracle.oracle_cap() == 20
 
 
 @pytest.mark.parametrize("N, error", [(0, ValueError), (-1, ValueError), (21, CapExceeded)])
-def test_check_cap_refuses_lengths_outside_1_to_the_cap(monkeypatch, N, error):
-    monkeypatch.delenv("CYCLOSEQ_ORACLE_CAP", raising=False)
+def test_check_cap_refuses_lengths_outside_1_to_the_cap(N, error):
     with pytest.raises(error) as exc:
         oracle.check_cap(N)
     assert exc.type is error
