@@ -10,7 +10,7 @@ distribution enumerates its family afresh unless it is given the family's
 classes from an earlier sweep, so a caller that tallies one family several
 times enumerates it once.  Cyclic windows are extracted by doubling the word
 and masking.  `pattern_census` reads the requested patterns off one sweep of
-window profiles.  The cap N <= CAP bounds the word width and the runtime.
+window profiles.  A sweep checks the cap N <= CAP, which bounds the runtime.
 """
 
 from collections import Counter
@@ -23,11 +23,9 @@ CAP = 20
 
 
 def check_cap(N: int) -> None:
-    """Refuse a family of length N above the oracle cap (CapExceeded) or below 1."""
+    """Refuse a family of length N above the oracle cap; SequenceFamily owns N >= 1."""
     if N > CAP:
         raise CapExceeded(f"N = {N} exceeds the oracle cap {CAP}")
-    if N < 1:
-        raise ValueError(f"need N >= 1, got {N}")
 
 
 def rotation_classes(m: int, n: int) -> Iterator[tuple[int, int]]:
@@ -62,8 +60,7 @@ def rotation_classes(m: int, n: int) -> Iterator[tuple[int, int]]:
 
 
 def _occurrence_counter(m: int, n: int, pattern: str) -> Callable[[int], int]:
-    """word -> its cyclic windows that spell the pattern, which may be N long."""
-    check_cap(m + n)  # an over-cap family is refused before its pattern is read
+    """word -> its windows that spell the pattern (up to N long); the sweep checks the cap."""
     N = pattern_family(m, n, pattern).N
     ones = [j for j, ch in enumerate(pattern) if ch == "1"]
     zeros = [j for j, ch in enumerate(pattern) if ch == "0"]
@@ -146,7 +143,6 @@ def pattern_census(m: int, n: int, patterns: Iterable[str],
     a window starts with it, so every distribution is read off the profiles.
     """
     N = m + n
-    check_cap(N)
     patterns = list(patterns)
     for pattern in patterns:
         pattern_family(m, n, pattern)

@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from itertools import chain
+from itertools import chain, product
 from pathlib import Path
 
 import pytest
@@ -167,6 +167,24 @@ def test_dist_routes_agree_across_families(capsys):
                 assert closed["payload"] == brute["payload"], (m, N - m, pattern)
 
 
+def test_dist_routes_refuse_a_bad_query_alike(capsys):
+    # both routes check the digits, then the family, then the length; only
+    # after that does the closed route look for a closed form and the oracle
+    # at its cap, so every refusal of these three reads the same on both
+    values = (-2, -1, 0, 1, 3, 15)
+    reasons = ("pattern must be", "need m, n >= 0", "exceeds the cycle length")
+    refused = 0
+    for m, n in product(values, values):
+        for pattern in ("x", "", "0" * 25, "0", "01", "0110", "00100"):
+            args = ["dist", "--m", str(m), "--n", str(n), "--pattern", pattern, "--format", "json"]
+            closed = run(capsys, *args)
+            if not any(reason in closed[2] for reason in reasons):
+                continue
+            refused += 1
+            assert run(capsys, *args, "--via", "oracle") == closed, (m, n, pattern)
+    assert refused == 205  # 72 on the digits, 105 on the family, 28 on the length
+
+
 def test_dist_unsupported_pattern_exit_3(capsys):
     for fmt in ("json", "csv", "pretty"):
         code, out, err = run(capsys, "dist", "--m", "4", "--n", "4", "--pattern", "0110",
@@ -237,6 +255,11 @@ def test_negative_digit_count_exit_2(capsys):
                                  "--pattern", pattern, "--via", via, "--format", "json")
             assert (code, out) == (2, ""), (m, n, pattern, via)
             assert "need m, n >= 0" in err
+    # the oracle checks the family before its cap
+    code, out, err = run(capsys, "dist", "--m", "-2", "--n", "30", "--pattern", "01",
+                         "--via", "oracle", "--format", "json")
+    assert (code, out) == (2, "")
+    assert "need m, n >= 0" in err
     # the oracle reads the pattern before it starts enumerating the family
     code, out, err = run(capsys, "dist", "--m", "-1", "--n", "3", "--pattern", "x",
                          "--via", "oracle", "--format", "json")

@@ -206,8 +206,16 @@ def test_cap(monkeypatch):
         list(oracle.rotation_classes(4, 4))
 
 
-@pytest.mark.parametrize("N, error", [(0, ValueError), (-1, ValueError), (21, CapExceeded)])
+@pytest.mark.parametrize("N, error", [(21, CapExceeded)])
 def test_check_cap_refuses_lengths_outside_1_to_the_cap(N, error):
     with pytest.raises(error) as exc:
         oracle.check_cap(N)
     assert exc.type is error
+
+
+@pytest.mark.parametrize("m, n", [(-1, 1), (0, 0), (-2, 30)])
+def test_rotation_classes_refuse_a_family_that_is_none_before_the_cap(m, n):
+    # N < 1 and a negative digit count are the family's rule, checked before the cap
+    with pytest.raises(ValueError, match=r"need m, n >= 0") as exc:
+        list(oracle.rotation_classes(m, n))
+    assert exc.type is ValueError

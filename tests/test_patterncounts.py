@@ -192,24 +192,46 @@ def _words_with_the_pattern_at_0_and_d(m, n, pattern):
     return total
 
 
+def _assert_the_moment_identities(m, n, pattern, entries):
+    # the counts sum to the family size C(N, n), and the occurrences sum to
+    # N C(N-L, n-w), since each of the N windows spells a pattern with w ones
+    # in C(N-L, n-w) sequences; the ordered pairs of occurrences sum to N times
+    # the words with the pattern at 0 and at d, over the shifts d (Guibas &
+    # Odlyzko 1981)
+    N, L, w = m + n, len(pattern), pattern.count("1")
+    assert sum(entries.values()) == binomial(N, n), (m, n, pattern)
+    assert sum(h * v for h, v in entries.items()) == N * binomial(N - L, n - w), (m, n, pattern)
+    pairs = sum(h * (h - 1) * v for h, v in entries.items())
+    assert pairs == N * _words_with_the_pattern_at_0_and_d(m, n, pattern), (m, n, pattern)
+
+
+LARGE_FAMILY_PATTERNS = ["01", "001", "101", "0001", "10000", "000", "11", "0111"]
+
+
 @pytest.mark.parametrize("m, n, patterns", [
     (60, 60, SOLVED_UP_TO_10), (37, 83, SOLVED_UP_TO_10),
     (300, 300, SOLVED_UP_TO_10 + DEEP_ZEROS_THEN_ONE),
+    (500, 500, LARGE_FAMILY_PATTERNS), (700, 300, LARGE_FAMILY_PATTERNS),
 ])
 def test_closed_forms_meet_exact_identities_far_beyond_the_oracle_cap(m, n, patterns):
-    # an independent exact check where enumeration cannot reach: the counts
-    # sum to the family size C(N, n), and the occurrences sum to N C(N-L, n-w),
-    # since each of the N windows spells a pattern with w ones in C(N-L, n-w)
-    # sequences; the ordered pairs of occurrences sum to N times the words
-    # with the pattern at 0 and at d, over the shifts d (Guibas & Odlyzko 1981)
-    N = m + n
+    # an independent exact check where enumeration cannot reach
     for pattern in patterns:
-        entries = pattern_distribution(m, n, pattern).entries
-        L, w = len(pattern), pattern.count("1")
-        assert sum(entries.values()) == binomial(N, n), pattern
-        assert sum(h * v for h, v in entries.items()) == N * binomial(N - L, n - w), pattern
-        pairs = sum(h * (h - 1) * v for h, v in entries.items())
-        assert pairs == N * _words_with_the_pattern_at_0_and_d(m, n, pattern), pattern
+        _assert_the_moment_identities(m, n, pattern, pattern_distribution(m, n, pattern).entries)
+
+
+UNSOLVED_4_TO_6 = [p for L in range(4, 7) for p in map("".join, itertools.product("01", repeat=L))
+                   if not is_solved_pattern(p)]
+
+
+def test_oracle_rows_of_unsolved_patterns_meet_the_same_identities():
+    # the patterns with no closed form answer only through the oracle; its rows
+    # must meet the identities too, on every family that holds the pattern
+    for N in range(5, 15):
+        patterns = [p for p in UNSOLVED_4_TO_6 if len(p) < N]
+        for m in range(N + 1):
+            census = oracle.pattern_census(m, N - m, patterns)
+            for pattern in patterns:
+                _assert_the_moment_identities(m, N - m, pattern, census[pattern])
 
 
 @functools.lru_cache(maxsize=None)
